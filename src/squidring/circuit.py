@@ -334,41 +334,50 @@ def truncate_to_eigenbasis(
     )
 
 
+def drive_coefficients(phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
+    """Weights of the drive_terms pieces: 1, cos(2 pi phi_x), sin(2 pi phi_x), phi_rate."""
+    return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
+                     phi_rate])
+
+
+def drive_terms(model: TruncatedModel) -> np.ndarray:
+    """The total Hamiltonian's constant pieces, stacked as (4, dim, dim), so that
+    H = sum_k drive_coefficients(phi_x, phi_rate)[k] * pieces[k] (see build_hs).
+    Piece 0 holds He + the harmonic ring part - Hes."""
+    g, r = model.groups, model.ring
+    ie = np.eye(model.de)
+    xe = model.field_a + model.field_a.conj().T
+    # every piece is a field (x) ring product; the last two are folded into piece 0
+    field = np.stack([ie, ie, ie, ie, model.field_h, xe])
+    ring = np.stack([r.harmonic, -g.nu_tilde * r.cos_phi, g.nu_tilde * r.sin_phi,
+                     -g.drive_scale * r.charge, np.eye(model.ds), -g.kappa * r.flux])
+    p = np.einsum("kij,kab->kiajb", field, ring).reshape(len(ring), model.dim, model.dim)
+    p[0] += p[4] + p[5]
+    return p[:4]
+
+
+def _combine(coefficients: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] * terms[k] for a stack of square matrices."""
+    return (coefficients @ terms.reshape(len(terms), -1)).reshape(terms.shape[1:])
+
+
 def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
     """Total H = He + Hs - Hes on the product space, hbar*omega_s units."""
-    ie, isr = np.eye(model.de), np.eye(model.ds)
-    xe = model.field_a + model.field_a.conj().T
-    h = (
-        np.kron(model.field_h, isr)
-        + np.kron(ie, model.ring_hamiltonian(phi_x, phi_rate))
-        - model.groups.kappa * np.kron(xe, model.ring.flux)
-    )
-    return h
+    return _combine(drive_coefficients(phi_x, phi_rate), drive_terms(model))
 
 
 class RampHamiltonian:
-    """H(t) along a FluxDrive schedule, with the kron pieces precomputed.
+    """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed.
 
-    Callable t -> dense Hamiltonian. `static_on(a, b)` reports whether the
-    drive is frozen on an interval, which the integrators exploit.
+    Callable t -> dense Hamiltonian, H(t) = coefficients(t) @ terms. The
+    integrators step with `terms` and `coefficients` directly; `static_on(a, b)`
+    reports whether the drive is frozen on an interval.
     """
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.model = model
         self.drive = drive
-        ie, isr = np.eye(model.de), np.eye(model.ds)
-        xe = model.field_a + model.field_a.conj().T
-        g = model.groups
-        self._base = (
-            np.kron(model.field_h, isr)
-            + np.kron(ie, model.ring.harmonic)
-            - g.kappa * np.kron(xe, model.ring.flux)
-        )
-        self._cos = np.kron(ie, model.ring.cos_phi)
-        self._sin = np.kron(ie, model.ring.sin_phi)
-        self._charge = np.kron(ie, model.ring.charge)
-        self._nu = g.nu_tilde
-        self._drive_scale = g.drive_scale
+        self.terms = drive_terms(model)
 
     @property
     def dim(self) -> int:
@@ -378,16 +387,11 @@ class RampHamiltonian:
     def breakpoints(self) -> tuple[float, float]:
         return self.drive.breakpoints
 
+    def coefficients(self, t: float) -> np.ndarray:
+        return drive_coefficients(self.drive.value(t), self.drive.rate(t))
+
     def __call__(self, t: float) -> np.ndarray:
-        phi = self.drive.value(t)
-        h = self._base - self._nu * (
-            math.cos(2 * math.pi * phi) * self._cos
-            - math.sin(2 * math.pi * phi) * self._sin
-        )
-        rate = self.drive.rate(t)
-        if rate != 0.0:
-            h = h - self._drive_scale * rate * self._charge
-        return h
+        return _combine(self.coefficients(t), self.terms)
 
     def static_on(self, a: float, b: float) -> bool:
         t0, t1 = self.drive.breakpoints

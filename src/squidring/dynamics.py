@@ -1,12 +1,13 @@
 """Time evolution: TDSE for pure states and the thermal Lindblad master equation.
 
 Both integrators work in the dimensionless units of the circuit module
-(hbar = 1, time in 1/omega_s). Hamiltonians are passed as callables t -> H;
-objects exposing `breakpoints` and `static_on(a, b)` (see circuit.RampHamiltonian)
-let the integrators split at drive discontinuities and reuse work on
-constant-H stretches. The integration scheme itself is fixed-step RK4 or an
-embedded adaptive RK45 (scipy); on constant-H stretches the RK4 path applies
-the identical one-step RK4 map through a precomputed step matrix.
+(hbar = 1, time in 1/omega_s). Both equations are the linear ODE
+dy/dt = G(t) y, with y = psi or rho, and share one integrator core (`_evolve`):
+fixed-step RK4 or an embedded adaptive RK45 (scipy). Hamiltonians are passed
+as callables t -> H; objects exposing `breakpoints` and `static_on(a, b)` (see
+circuit.RampHamiltonian) let the core split at drive discontinuities and apply
+the RK4 step map as one cached matrix power on constant-H stretches, and
+`terms` / `coefficients(t)` let it step without rebuilding H.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -15,7 +16,7 @@ seen by the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -140,8 +141,11 @@ class Trajectory:
         return iter(self.states)
 
 
-def _knots(t_start: float, t_end: float, sample_times, breakpoints):
+def _knots(t_start: float, t_end: float, sample_dt, sample_times, breakpoints):
     """Sorted integration knots = sample grid plus drive breakpoints."""
+    if sample_times is None:
+        n = max(1, int(round((t_end - t_start) / sample_dt)))
+        sample_times = np.linspace(t_start, t_end, n + 1)
     samples = np.asarray(sample_times, dtype=float)
     if samples[0] != t_start or samples[-1] != t_end:
         raise ValueError("sample_times must start at t_start and end at t_end")
@@ -152,16 +156,166 @@ def _knots(t_start: float, t_end: float, sample_times, breakpoints):
     return knots, flags
 
 
-def _sample_grid(t_start, t_end, sample_dt, sample_times):
-    if sample_times is not None:
-        return np.asarray(sample_times, dtype=float)
-    n = max(1, int(round((t_end - t_start) / sample_dt)))
-    return np.linspace(t_start, t_end, n + 1)
+class _Schrodinger:
+    """dpsi/dt = K psi on the state vector, K = -i (H - shift)."""
+
+    drift_name, abort = "TDSE norm", NORM_ABORT
+
+    def __init__(self, dim: int):
+        self.k_fix = np.zeros((dim, dim), complex)
+
+    def apply(self, k, psi):
+        return k @ psi
+
+    def dense(self, k):
+        return k
+
+    def settle(self, psi):
+        return psi
+
+    def emit(self, psi, phase):
+        return np.exp(-1j * phase) * psi
+
+    def drift(self, psi):
+        return abs(np.linalg.norm(psi) - 1.0)
+
+    def lowest_eigenvalue(self, psi):
+        return 0.0  # psi psi† is positive by construction
 
 
-def _static_on(hamiltonian, a, b):
-    probe = getattr(hamiltonian, "static_on", None)
-    return probe(a, b) if probe is not None else False
+class _Master:
+    """drho/dt = K rho + rho K† + sum_j c_j rho c_j† on the density matrix, with
+    K = -i (H - shift) - 1/2 sum_j c_j† c_j. The dense form acts on row-major
+    vec(rho); the shift cancels from it exactly."""
+
+    drift_name, abort = "Lindblad trace", TRACE_ABORT
+
+    def __init__(self, cops, dim: int):
+        self.c = np.asarray(cops, dtype=complex).reshape(-1, dim, dim)
+        self.c_dag = self.c.conj().transpose(0, 2, 1)
+        self.k_fix = -0.5 * (self.c_dag @ self.c).sum(axis=0)
+
+    def apply(self, k, rho):
+        return k @ rho + rho @ k.conj().T + (self.c @ rho @ self.c_dag).sum(axis=0)
+
+    def dense(self, k):
+        eye = np.eye(len(k))
+        sup = np.kron(k, eye) + np.kron(eye, k.conj())
+        for c in self.c:
+            sup += np.kron(c, c.conj())
+        return sup
+
+    def settle(self, rho):
+        return hermitize(rho)
+
+    def emit(self, rho, phase):
+        return rho
+
+    def drift(self, rho):
+        return abs(np.trace(rho).real - 1.0)
+
+    def lowest_eigenvalue(self, rho):
+        return float(np.linalg.eigvalsh(rho).min())
+
+
+def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
+    """One fixed-step RK4 update of dy/dt = g y as a linear map: the degree-4
+    Taylor polynomial of exp(h g)."""
+    m = np.eye(len(g), dtype=complex)
+    term = np.eye(len(g), dtype=complex)
+    for k in range(1, 5):
+        term = (h / k) * (term @ g)
+        m += term
+    return m
+
+
+def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, breakpoints):
+    """Integrate dy/dt = G(t) y from state.t, with G built by `eq` from
+    K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
+
+    Knots are the sample grid plus the drive breakpoints; the integrator never
+    steps across a knot. On each knot interval H is shifted by its mean
+    diagonal at the midpoint (`shift`; the TDSE phase it removes is restored
+    on output). Constant-H intervals apply the RK4 step map to the power n,
+    cached for the last (H, n, span); others take RK4 steps, building K from
+    `hamiltonian.terms` and `hamiltonian.coefficients(t)` when those exist.
+    Returns (times, sampled states, max drift, min eigenvalue).
+    """
+    cfg = config or IntegratorConfig()
+    if breakpoints is None:
+        breakpoints = getattr(hamiltonian, "breakpoints", ())
+    t_start = state.t
+    knots, is_sample = _knots(t_start, t_end, sample_dt, sample_times, breakpoints)
+    static_on = getattr(hamiltonian, "static_on", lambda a, b: False)
+    dim = y.shape[0]
+    eye = np.eye(dim)
+    terms = getattr(hamiltonian, "terms", None)
+    if terms is None:
+        def minus_ih(t):
+            return -1j * hamiltonian(t)
+    else:
+        flat = -1j * terms.reshape(len(terms), -1)
+        coefficients = hamiltonian.coefficients
+
+        def minus_ih(t):
+            return (coefficients(t) @ flat).reshape(dim, dim)
+
+    phase, max_drift, min_eig = 0.0, 0.0, 1.0
+    out_t, out_states = [t_start], [QuantumState(y, state.dims, t_start)]
+    cached_key, step_map = None, None
+
+    for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
+        span = b - a
+        # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
+        h_mid = hamiltonian(0.5 * (a + b))
+        shift = np.trace(h_mid).real / dim
+        k_const = eq.k_fix + 1j * shift * eye
+        if cfg.method == "rk4":
+            n = max(1, int(math.ceil(span / cfg.dt)))
+            h = span / n
+            if static_on(a, b):
+                key = (n, round(span, 12), h_mid.tobytes())
+                if key != cached_key:
+                    step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
+                    cached_key, step_map = key, np.linalg.matrix_power(step, n)
+                y = (step_map @ y.reshape(-1)).reshape(y.shape)
+            else:
+                t = a
+                k_start = minus_ih(t) + k_const
+                for _ in range(n):
+                    k_mid = minus_ih(t + 0.5 * h) + k_const
+                    k_end = minus_ih(t + h) + k_const
+                    s1 = eq.apply(k_start, y)
+                    s2 = eq.apply(k_mid, y + 0.5 * h * s1)
+                    s3 = eq.apply(k_mid, y + 0.5 * h * s2)
+                    s4 = eq.apply(k_end, y + h * s3)
+                    y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+                    k_start = k_end
+                    t += h
+        else:
+            def f(t, v):
+                return eq.apply(minus_ih(t) + k_const, v.reshape(y.shape)).reshape(-1)
+            sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
+                            rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
+            if not sol.success:
+                raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
+            y = sol.y[:, -1].reshape(y.shape)
+        phase += shift * span
+        y = eq.settle(y)
+        drift = eq.drift(y)
+        # a non-finite state fails this test as well
+        if not drift <= eq.abort:
+            raise NormDriftError(f"{eq.drift_name} drift {drift:.3e} at t = {b:.3f}")
+        max_drift = max(max_drift, drift)
+        if sample:
+            w_min = eq.lowest_eigenvalue(y)
+            min_eig = min(min_eig, w_min)
+            if w_min < -POSITIVITY_ABORT:
+                raise PositivityError(f"density matrix eigenvalue {w_min:.3e} at t = {b:.3f}")
+            out_t.append(b)
+            out_states.append(QuantumState(eq.emit(y, phase), state.dims, b))
+
+    return np.asarray(out_t), out_states, max_drift, min_eig
 
 
 def evolve_tdse(
@@ -176,71 +330,15 @@ def evolve_tdse(
     """Integrate i dpsi/dt = H(t) psi from state.t to t_end.
 
     Samples are emitted on the requested output grid; the integrator never
-    steps across a drive breakpoint. Aborts when |norm - 1| exceeds 1e-6.
+    steps across a drive breakpoint. Aborts when |norm - 1| exceeds 1e-6 or
+    the state is not finite.
     """
     if not state.is_pure:
         raise ValueError("evolve_tdse expects a pure state")
-    cfg = config or IntegratorConfig()
-    if breakpoints is None:
-        breakpoints = getattr(hamiltonian, "breakpoints", ())
-    t_start = state.t
-    samples = _sample_grid(t_start, t_end, sample_dt, sample_times)
-    knots, is_sample = _knots(t_start, t_end, samples, breakpoints)
-
-    dim = state.data.shape[0]
-    eye = np.eye(dim)
-    psi = state.data.astype(complex).copy()
-    phase = 0.0
-    out_t, out_states = [t_start], [QuantumState(psi.copy(), state.dims, t_start)]
-    max_drift = 0.0
-
-    for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
-        span = b - a
-        # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
-        h_a = hamiltonian(0.5 * (a + b))
-        shift = np.trace(h_a).real / dim
-        if cfg.method == "rk4":
-            n = max(1, int(math.ceil(span / cfg.dt)))
-            h = span / n
-            if _static_on(hamiltonian, a, b):
-                hs = h_a - shift * eye
-                t = a
-                for _ in range(n):
-                    k1 = -1j * (hs @ psi)
-                    k2 = -1j * (hs @ (psi + 0.5 * h * k1))
-                    k3 = -1j * (hs @ (psi + 0.5 * h * k2))
-                    k4 = -1j * (hs @ (psi + h * k3))
-                    psi += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    t += h
-            else:
-                t = a
-                for _ in range(n):
-                    def f(tt, y):
-                        return -1j * ((hamiltonian(tt) - shift * eye) @ y)
-                    k1 = f(t, psi)
-                    k2 = f(t + 0.5 * h, psi + 0.5 * h * k1)
-                    k3 = f(t + 0.5 * h, psi + 0.5 * h * k2)
-                    k4 = f(t + h, psi + h * k3)
-                    psi += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    t += h
-        else:
-            def f(tt, y):
-                return -1j * ((hamiltonian(tt) - shift * eye) @ y)
-            sol = solve_ivp(f, (a, b), psi, method="RK45",
-                            rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
-            if not sol.success:
-                raise IntegrationError(f"adaptive TDSE step failed on [{a}, {b}]: {sol.message}")
-            psi = sol.y[:, -1]
-        phase += shift * span
-        drift = abs(np.linalg.norm(psi) - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > NORM_ABORT:
-            raise NormDriftError(f"TDSE norm drift {drift:.3e} at t = {b:.3f}")
-        if sample:
-            out_t.append(b)
-            out_states.append(QuantumState(np.exp(-1j * phase) * psi, state.dims, b))
-
-    return Trajectory(np.asarray(out_t), out_states, max_norm_drift=max_drift)
+    psi = state.data.astype(complex)
+    times, states, drift, _ = _evolve(_Schrodinger(len(psi)), state, psi, hamiltonian, t_end,
+                                      config, sample_dt, sample_times, breakpoints)
+    return Trajectory(times, states, max_norm_drift=drift)
 
 
 def _collapse_set(baths: BathParams, a_e: np.ndarray, a_s: np.ndarray):
@@ -253,38 +351,6 @@ def _collapse_set(baths: BathParams, a_e: np.ndarray, a_s: np.ndarray):
             if m > 0:
                 ops.append(math.sqrt(gamma * m) * a.conj().T)
     return ops
-
-
-def _lindblad_rhs_factory(hamiltonian, shift_eye, cops, nops):
-    def rhs(t, rho):
-        h = hamiltonian(t) - shift_eye
-        out = -1j * (h @ rho - rho @ h)
-        for c, n in zip(cops, nops):
-            out += c @ rho @ c.conj().T - 0.5 * (n @ rho + rho @ n)
-        return out
-    return rhs
-
-
-def _liouvillian(h: np.ndarray, cops, nops) -> np.ndarray:
-    """Dense superoperator for row-major vec(rho)."""
-    d = h.shape[0]
-    eye = np.eye(d)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for c, n in zip(cops, nops):
-        sup += np.kron(c, c.conj())
-        sup -= 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))
-    return sup
-
-
-def _rk4_step_matrix(sup: np.ndarray, h: float) -> np.ndarray:
-    """One fixed-step RK4 update as a linear map: the degree-4 Taylor polynomial."""
-    d2 = sup.shape[0]
-    m = np.eye(d2, dtype=complex)
-    term = np.eye(d2, dtype=complex)
-    for k in range(1, 5):
-        term = (h / k) * (term @ sup)
-        m += term
-    return m
 
 
 def evolve_lindblad(
@@ -305,82 +371,11 @@ def evolve_lindblad(
                   + sum_i gamma_i/2  M_i  (2 a_i† rho a_i - a_i a_i† rho - rho a_i a_i†)
 
     with collapse operators a_e, a_s supplied on the product space. The state
-    is symmetrized at every emitted sample; trace and positivity are checked
-    there and abort beyond 1e-6.
+    is symmetrized at every knot; trace (and finiteness) is checked there and
+    positivity at every emitted sample, each aborting beyond 1e-6.
     """
-    cfg = config or IntegratorConfig()
-    if breakpoints is None:
-        breakpoints = getattr(hamiltonian, "breakpoints", ())
-    t_start = state.t
-    samples = _sample_grid(t_start, t_end, sample_dt, sample_times)
-    knots, is_sample = _knots(t_start, t_end, samples, breakpoints)
-
-    rho = state.density().astype(complex).copy()
-    dim = rho.shape[0]
-    eye = np.eye(dim)
-    cops = _collapse_set(baths, *collapse_ops)
-    nops = [c.conj().T @ c for c in cops]
-
-    out_t, out_states = [t_start], [QuantumState(rho.copy(), state.dims, t_start)]
-    max_tr, min_eig = 0.0, 1.0
-    cached = {"h": None, "n": None, "span": None, "map": None}
-
-    for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
-        span = b - a
-        static = _static_on(hamiltonian, a, b)
-        h_probe = hamiltonian(0.5 * (a + b))
-        shift = np.trace(h_probe).real / dim
-
-        if cfg.method == "rk4":
-            n = max(1, int(math.ceil(span / cfg.dt)))
-            h = span / n
-            if static:
-                hs = h_probe - shift * eye
-                if (
-                    cached["map"] is None
-                    or cached["n"] != n
-                    or abs(cached["span"] - span) > 1e-12
-                    or not np.array_equal(cached["h"], hs)
-                ):
-                    step = _rk4_step_matrix(_liouvillian(hs, cops, nops), h)
-                    cached.update(h=hs, n=n, span=span,
-                                  map=np.linalg.matrix_power(step, n))
-                rho = (cached["map"] @ rho.reshape(-1)).reshape(dim, dim)
-            else:
-                rhs = _lindblad_rhs_factory(hamiltonian, shift * eye, cops, nops)
-                t = a
-                for _ in range(n):
-                    k1 = rhs(t, rho)
-                    k2 = rhs(t + 0.5 * h, rho + 0.5 * h * k1)
-                    k3 = rhs(t + 0.5 * h, rho + 0.5 * h * k2)
-                    k4 = rhs(t + h, rho + h * k3)
-                    rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                    rho = hermitize(rho)
-                    t += h
-        else:
-            rhs = _lindblad_rhs_factory(hamiltonian, shift * eye, cops, nops)
-            def f(tt, y):
-                return rhs(tt, y.reshape(dim, dim)).reshape(-1)
-            sol = solve_ivp(f, (a, b), rho.reshape(-1), method="RK45",
-                            rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
-            if not sol.success:
-                raise IntegrationError(f"adaptive Lindblad step failed on [{a}, {b}]: {sol.message}")
-            rho = sol.y[:, -1].reshape(dim, dim)
-
-        rho = hermitize(rho)
-        tr_drift = abs(np.trace(rho).real - 1.0)
-        max_tr = max(max_tr, tr_drift)
-        if tr_drift > TRACE_ABORT:
-            raise NormDriftError(f"Lindblad trace drift {tr_drift:.3e} at t = {b:.3f}")
-        if sample:
-            w_min = float(np.linalg.eigvalsh(rho).min())
-            min_eig = min(min_eig, w_min)
-            if w_min < -POSITIVITY_ABORT:
-                raise PositivityError(
-                    f"density matrix eigenvalue {w_min:.3e} at t = {b:.3f}"
-                )
-            out_t.append(b)
-            out_states.append(QuantumState(rho.copy(), state.dims, b))
-
-    return Trajectory(np.asarray(out_t), out_states,
-                      max_trace_drift=max_tr, min_eigenvalue=min_eig)
+    rho = state.density().astype(complex)
+    eq = _Master(_collapse_set(baths, *collapse_ops), len(rho))
+    times, states, drift, min_eig = _evolve(eq, state, rho, hamiltonian, t_end,
+                                            config, sample_dt, sample_times, breakpoints)
+    return Trajectory(times, states, max_trace_drift=drift, min_eigenvalue=min_eig)

@@ -83,9 +83,10 @@ class RampConfig:
     def __post_init__(self):
         if self.label_mode not in ("instantaneous", "frozen"):
             raise ValueError(f"unknown label_mode {self.label_mode!r}")
-        end = self.resolved_t_end
-        if end <= self.drive.t0 + self.drive.tr:
-            raise ValueError("t_end must lie beyond the end of the ramp")
+        end, ramp_end = self.resolved_t_end, self.drive.t0 + self.drive.tr
+        if end <= ramp_end:
+            raise ValueError(f"t_end = {end:g} must lie beyond the end of the ramp "
+                             f"at t0 + tr = {ramp_end:g}")
 
     @property
     def resolved_t_end(self) -> float:
@@ -283,21 +284,30 @@ def _plateau_stats(records: list[TimeSeriesRecord]) -> dict:
     return stats
 
 
+def resolve_t0(cfg: RampConfig, model: TruncatedModel) -> RampConfig:
+    """cfg with auto_t0 replaced by its value: t0 = the half-exchange time at A.
+
+    Raises ValueError when t_end no longer lies beyond the resolved ramp.
+    """
+    if not cfg.auto_t0:
+        return cfg
+    t0 = find_crossing_time(model, cfg.drive.A, t_max=4 * max(cfg.drive.t0, 100.0))
+    return replace(cfg, drive=replace(cfg.drive, t0=t0), auto_t0=False)
+
+
 def run_ramp(
     cfg: RampConfig,
     model: TruncatedModel,
     integrator: IntegratorConfig | None = None,
 ) -> RampResult:
     """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set."""
+    cfg = resolve_t0(cfg, model)
     drive = cfg.drive
-    if cfg.auto_t0:
-        t0 = find_crossing_time(model, drive.A, t_max=4 * max(drive.t0, 100.0))
-        drive = replace(drive, t0=t0)
     ham = RampHamiltonian(model, drive)
     basis_a = labeled_basis(model, drive.A)
     psi0 = basis_a.state(1, 0)
     state0 = QuantumState.pure(psi0, (model.de, model.ds), t=0.0)
-    t_end = cfg.t_end if cfg.t_end is not None else 3 * drive.t0
+    t_end = cfg.resolved_t_end
 
     if cfg.baths is not None:
         baths = cfg.baths
@@ -339,6 +349,7 @@ def run_dissipative(
 ) -> dict[float, RampResult]:
     """Lindblad ramp runs, one per damping rate (applied equally to both baths)."""
     omega_b = omega_b if omega_b is not None else model.params.omega_s
+    cfg = resolve_t0(cfg, model)
     out = {}
     for gamma in gammas:
         baths = BathParams(gamma_e=gamma, gamma_s=gamma, Tb=Tb, omega_b=omega_b)

@@ -124,6 +124,17 @@ def test_dissipative_file_per_rate(tmp_path):
     assert "gamma = 1e-05" in summary and "gamma = 0.0001" in summary
 
 
+def test_auto_t0_beyond_t_end_exits_2(tmp_path, capsys):
+    """auto_t0 moves t0 to the half-exchange time (~326 here), past t_end."""
+    out = tmp_path / "late"
+    code = main(["ramp", "--out", str(out), "--set", "ramp.t0=50",
+                 "--set", "ramp.t_end=200", "--set", "ramp.auto_t0=true"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "ramp.csv").exists()
+    assert not (out / "summary.txt").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     out = tmp_path / "blowup"
     code = main(["ramp", "--out", str(out), "--set", "integrator.dt=5"]

@@ -128,6 +128,75 @@ def test_tdse_norm_abort():
         evolve_tdse(state, h, 10.0, config=IntegratorConfig(dt=1.0), sample_dt=10.0)
 
 
+def _lindblad_2x2(h, **kw):
+    """Damped two-level run: one decay channel at gamma = 0.1."""
+    baths = BathParams(gamma_e=0.1, gamma_s=0.0, omega_b=OMEGA_S)
+    a = ladder(2)
+    rho0 = QuantumState.mixed(np.full((2, 2), 0.5, complex), (1, 2))
+    return evolve_lindblad(rho0, h, baths, (a, np.zeros_like(a)), **kw)
+
+
+@pytest.mark.parametrize("equation", ["tdse", "lindblad step map", "lindblad stepping"])
+def test_non_finite_state_aborts(equation):
+    """A run that overflows to NaN raises instead of returning NaN states."""
+    h = np.diag([0.0, 1e4]).astype(complex)
+    kw = dict(t_end=100.0, config=IntegratorConfig(dt=1.0), sample_dt=100.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormDriftError):
+        if equation == "tdse":
+            state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
+            evolve_tdse(state, StaticHamiltonian(h), **kw)
+        elif equation == "lindblad step map":
+            _lindblad_2x2(StaticHamiltonian(h), **kw)
+        else:
+            _lindblad_2x2(lambda t: h, **kw)
+
+
+def _both_equations(model, equation, hamiltonian):
+    """Evolve |1e,0s> for 20 omega_s^-1 under the TDSE or a damped master equation."""
+    psi0 = np.zeros(model.dim, complex)
+    psi0[model.ds] = 1.0
+    state = QuantumState.pure(psi0, (model.de, model.ds))
+    if equation == "tdse":
+        return evolve_tdse(state, hamiltonian, 20.0, sample_dt=5.0)
+    baths = BathParams(gamma_e=1e-3, gamma_s=1e-3, Tb=4.2, omega_b=OMEGA_S)
+    rho0 = QuantumState.mixed(state.density(), state.dims)
+    return evolve_lindblad(rho0, hamiltonian, baths, model.collapse_operators(), 20.0,
+                           sample_dt=5.0)
+
+
+def _max_deviation(traj_a, traj_b):
+    np.testing.assert_array_equal(traj_a.times, traj_b.times)
+    return max(np.max(np.abs(a.data - b.data)) for a, b in zip(traj_a.states, traj_b.states))
+
+
+@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
+def test_step_map_matches_stepping(model, equation):
+    """The cached RK4 step-map power equals RK4 step by step on a constant H."""
+    h = build_total(model, 0.42864)
+    mapped = _both_equations(model, equation, StaticHamiltonian(h))
+    stepped = _both_equations(model, equation, lambda t: h)
+    assert _max_deviation(mapped, stepped) < 1e-12
+
+
+class _CallableOnly:
+    """A RampHamiltonian seen without its `terms` / `coefficients` pieces."""
+
+    def __init__(self, ham):
+        self.ham, self.breakpoints, self.static_on = ham, ham.breakpoints, ham.static_on
+
+    def __call__(self, t):
+        return self.ham(t)
+
+
+@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
+def test_ramp_steps_from_terms_match_callable(model, equation):
+    """In the ramp window, K(t) from the precomputed pieces equals -i H(t) per call."""
+    ham = RampHamiltonian(model, FluxDrive(t0=5.0, tr=3.0))
+    from_terms = _both_equations(model, equation, ham)
+    from_calls = _both_equations(model, equation, _CallableOnly(ham))
+    assert _max_deviation(from_terms, from_calls) < 1e-12
+
+
 def test_tdse_sample_grid_and_breakpoints(model):
     drive = FluxDrive(t0=10.0, tr=4.0)
     ham = RampHamiltonian(model, drive)

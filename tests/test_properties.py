@@ -1,0 +1,71 @@
+"""Property tests for the shared integrator core over random small systems."""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
+
+from squidring.circuit import HBAR, KB, CircuitParams, StaticHamiltonian, ladder
+from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
+from squidring.linalg import hermitize
+
+T_END = 2.0
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def systems(draw):
+    """(H, psi0, a_s): random Hermitian H of dimension 2-6 with |entries| <= 1,
+    a normalized state and a second collapse operator of norm <= 1."""
+    d = draw(st.integers(2, 6))
+    unit = st.floats(-1.0, 1.0)
+    re, im, c_re, c_im = (draw(arrays(float, (d, d), elements=unit)) for _ in range(4))
+    v = draw(arrays(float, 2 * d, elements=unit))
+    psi0 = v[:d] + 1j * v[d:]
+    if np.linalg.norm(psi0) < 0.1:
+        psi0 = np.eye(d)[0].astype(complex)
+    a_s = c_re + 1j * c_im
+    a_s /= max(1.0, np.linalg.norm(a_s, 2))
+    return hermitize(re + 1j * im), psi0 / np.linalg.norm(psi0), a_s
+
+
+@PROPERTY_SETTINGS
+@given(systems(), st.floats(0.01, 0.5), st.floats(0.01, 0.5), st.floats(0.01, 1.0),
+       st.booleans())
+def test_master_equation_keeps_trace_and_positivity(system, gamma_e, gamma_s, m, static):
+    h, psi0, a_s = system
+    d = len(psi0)
+    omega_b = KB * 4.2 * math.log1p(1.0 / m) / HBAR  # thermal occupation m at 4.2 K
+    baths = BathParams(gamma_e=gamma_e, gamma_s=gamma_s, Tb=4.2, omega_b=omega_b)
+    rho0 = QuantumState.mixed(np.outer(psi0, psi0.conj()), (1, d))
+    ham = StaticHamiltonian(h) if static else (lambda t: h)
+    traj = evolve_lindblad(rho0, ham, baths, (ladder(d), a_s), T_END, sample_dt=0.5)
+    assert traj.max_trace_drift < 1e-10
+    assert traj.min_eigenvalue > -1e-10
+
+
+@PROPERTY_SETTINGS
+@given(systems(), st.booleans())
+def test_undamped_master_equation_is_tdse(system, static):
+    h, psi0, _ = system
+    d = len(psi0)
+    state = QuantumState.pure(psi0, (1, d))
+    ham = StaticHamiltonian(h) if static else (lambda t: h)
+    off = BathParams(gamma_e=0.0, gamma_s=0.0, omega_b=CircuitParams().omega_s)
+    pure = evolve_tdse(state, ham, T_END, sample_dt=0.5)
+    mixed = evolve_lindblad(QuantumState.mixed(state.density(), state.dims), ham, off,
+                            (ladder(d), np.zeros((d, d))), T_END, sample_dt=0.5)
+    for u, r in zip(pure.states, mixed.states):
+        assert np.max(np.abs(u.density() - r.data)) < 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(systems())
+def test_static_tdse_is_matrix_exponential(system):
+    h, psi0, _ = system
+    traj = evolve_tdse(QuantumState.pure(psi0, (1, len(psi0))), StaticHamiltonian(h),
+                       T_END, sample_dt=0.5)
+    for sample in traj.states:
+        assert np.max(np.abs(sample.data - expm(-1j * h * sample.t) @ psi0)) < 1e-6
