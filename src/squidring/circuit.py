@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import constants as _const
@@ -230,20 +231,31 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
     )
 
 
+def drive_coefficients(phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
+    """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
+    sin(2 pi phi_x), phi_rate."""
+    return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
+                     phi_rate])
+
+
+def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] * pieces[k] for a stack of square matrices."""
+    return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
+
+
+def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
+    """The ring Hamiltonian's flux-independent pieces, stacked as (4, dim, dim):
+    harmonic, -nu cos_phi, nu sin_phi, -drive_scale charge. The cosine of the
+    shifted flux is expanded so that the operator-valued trig functions are the
+    precomputed cos_phi/sin_phi."""
+    return np.stack([ops.harmonic, -groups.nu_tilde * ops.cos_phi,
+                     groups.nu_tilde * ops.sin_phi, -groups.drive_scale * ops.charge])
+
+
 def build_hs(ops: RingOperators, groups: DimensionlessGroups,
              phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-    """Ring Hamiltonian in hbar*omega_s units, in whatever basis `ops` uses.
-
-    The cosine of the shifted flux is expanded so that the operator-valued
-    trig functions are the precomputed cos_phi/sin_phi.
-    """
-    h = ops.harmonic - groups.nu_tilde * (
-        math.cos(2 * math.pi * phi_x) * ops.cos_phi
-        - math.sin(2 * math.pi * phi_x) * ops.sin_phi
-    )
-    if phi_rate != 0.0:
-        h = h - groups.drive_scale * phi_rate * ops.charge
-    return h
+    """Ring Hamiltonian in hbar*omega_s units, in whatever basis `ops` uses."""
+    return _combine(drive_coefficients(phi_x, phi_rate), ring_pieces(ops, groups))
 
 
 def build_he(de: int, groups: DimensionlessGroups) -> np.ndarray:
@@ -277,8 +289,13 @@ class TruncatedModel:
     def dim(self) -> int:
         return self.de * self.ds
 
+    @cached_property
+    def _ring_pieces(self) -> np.ndarray:
+        return ring_pieces(self.ring, self.groups)
+
     def ring_hamiltonian(self, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-        return build_hs(self.ring, self.groups, phi_x, phi_rate)
+        """build_hs on the truncated ring, from pieces built once per model."""
+        return _combine(drive_coefficients(phi_x, phi_rate), self._ring_pieces)
 
     def ring_eigenbasis(self, phi_x: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues/vectors of the truncated ring Hamiltonian at phi_x."""
@@ -334,31 +351,19 @@ def truncate_to_eigenbasis(
     )
 
 
-def drive_coefficients(phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-    """Weights of the drive_terms pieces: 1, cos(2 pi phi_x), sin(2 pi phi_x), phi_rate."""
-    return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
-                     phi_rate])
-
-
 def drive_terms(model: TruncatedModel) -> np.ndarray:
-    """The total Hamiltonian's constant pieces, stacked as (4, dim, dim), so that
-    H = sum_k drive_coefficients(phi_x, phi_rate)[k] * pieces[k] (see build_hs).
-    Piece 0 holds He + the harmonic ring part - Hes."""
+    """The total Hamiltonian's flux-independent pieces, stacked as (4, dim, dim),
+    so that H = drive_coefficients(phi_x, phi_rate) @ pieces: the ring_pieces on
+    the product space, with He - Hes added to piece 0."""
     g, r = model.groups, model.ring
     ie = np.eye(model.de)
     xe = model.field_a + model.field_a.conj().T
     # every piece is a field (x) ring product; the last two are folded into piece 0
     field = np.stack([ie, ie, ie, ie, model.field_h, xe])
-    ring = np.stack([r.harmonic, -g.nu_tilde * r.cos_phi, g.nu_tilde * r.sin_phi,
-                     -g.drive_scale * r.charge, np.eye(model.ds), -g.kappa * r.flux])
+    ring = np.concatenate([model._ring_pieces, [np.eye(model.ds), -g.kappa * r.flux]])
     p = np.einsum("kij,kab->kiajb", field, ring).reshape(len(ring), model.dim, model.dim)
     p[0] += p[4] + p[5]
     return p[:4]
-
-
-def _combine(coefficients: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_k coefficients[k] * terms[k] for a stack of square matrices."""
-    return (coefficients @ terms.reshape(len(terms), -1)).reshape(terms.shape[1:])
 
 
 def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
@@ -369,15 +374,14 @@ def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> n
 class RampHamiltonian:
     """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed.
 
-    Callable t -> dense Hamiltonian, H(t) = coefficients(t) @ terms. The
-    integrators step with `terms` and `coefficients` directly; `static_on(a, b)`
-    reports whether the drive is frozen on an interval.
+    Callable t -> dense Hamiltonian. `static_on(a, b)` reports whether the
+    drive is frozen on an interval, which the integrators exploit.
     """
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.model = model
         self.drive = drive
-        self.terms = drive_terms(model)
+        self._pieces = drive_terms(model)
 
     @property
     def dim(self) -> int:
@@ -387,11 +391,9 @@ class RampHamiltonian:
     def breakpoints(self) -> tuple[float, float]:
         return self.drive.breakpoints
 
-    def coefficients(self, t: float) -> np.ndarray:
-        return drive_coefficients(self.drive.value(t), self.drive.rate(t))
-
     def __call__(self, t: float) -> np.ndarray:
-        return _combine(self.coefficients(t), self.terms)
+        coefficients = drive_coefficients(self.drive.value(t), self.drive.rate(t))
+        return _combine(coefficients, self._pieces)
 
     def static_on(self, a: float, b: float) -> bool:
         t0, t1 = self.drive.breakpoints

@@ -16,7 +16,7 @@ import numpy as np
 from .circuit import ConvergenceError, build_total
 from .config import ConfigError, RunConfig, apply_overrides, parse_config
 from .dynamics import IntegrationError, IntegratorConfig, QuantumState, evolve_tdse
-from .experiments import default_model, resolve_t0, run_dissipative, run_ramp, run_sweep
+from .experiments import default_model, run_dissipative, run_ramp, run_sweep
 from .linalg import PositivityError, herm_func, is_hermitian
 from .observables import TimeSeriesRecord, labeled_basis
 
@@ -57,18 +57,9 @@ def _model_from_config(cfg: RunConfig):
     )
 
 
-def _ramp_config(cfg: RunConfig, model):
-    """The ramp settings with auto_t0 resolved; a ramp that no longer fits is
-    a configuration error."""
-    try:
-        return resolve_t0(cfg.ramp_config(), model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
     model = _model_from_config(cfg)
-    result = run_ramp(_ramp_config(cfg, model), model, cfg.integrator)
+    result = run_ramp(cfg.ramp_config(), model, cfg.integrator)
     suffix = "csv" if fmt == "csv" else "jsonl"
     _write_ramp(out / f"ramp.{suffix}", result.records, fmt)
     lines = ["ramp run", f"  samples: {len(result.records)}"]
@@ -102,7 +93,7 @@ def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
 def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
     model = _model_from_config(cfg)
     results = run_dissipative(
-        _ramp_config(cfg, model), model, gammas=cfg.bath.gammas,
+        cfg.ramp_config(), model, gammas=cfg.bath.gammas,
         Tb=cfg.bath.Tb, omega_b=cfg.bath.omega_b, integrator=cfg.integrator,
     )
     suffix = "csv" if fmt == "csv" else "jsonl"

@@ -11,14 +11,10 @@ from pathlib import Path
 
 from .circuit import CircuitParams, FluxDrive
 from .dynamics import IntegratorConfig
-from .experiments import RampConfig, SweepConfig
+from .experiments import ConfigError, RampConfig, SweepConfig
 
 EXPERIMENTS = ("sweep", "ramp", "dissipative")
 FORMATS = ("csv", "jsonl")
-
-
-class ConfigError(ValueError):
-    """Malformed, unknown, or invalid configuration entry."""
 
 
 @dataclass(frozen=True)

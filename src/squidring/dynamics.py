@@ -6,8 +6,7 @@ dy/dt = G(t) y, with y = psi or rho, and share one integrator core (`_evolve`):
 fixed-step RK4 or an embedded adaptive RK45 (scipy). Hamiltonians are passed
 as callables t -> H; objects exposing `breakpoints` and `static_on(a, b)` (see
 circuit.RampHamiltonian) let the core split at drive discontinuities and apply
-the RK4 step map as one cached matrix power on constant-H stretches, and
-`terms` / `coefficients(t)` let it step without rebuilding H.
+the RK4 step map as one cached matrix power on constant-H stretches.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -237,8 +236,8 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
     steps across a knot. On each knot interval H is shifted by its mean
     diagonal at the midpoint (`shift`; the TDSE phase it removes is restored
     on output). Constant-H intervals apply the RK4 step map to the power n,
-    cached for the last (H, n, span); others take RK4 steps, building K from
-    `hamiltonian.terms` and `hamiltonian.coefficients(t)` when those exist.
+    cached for the last (H, n, span); others take RK4 steps, each reusing the
+    K of the previous step's end.
     Returns (times, sampled states, max drift, min eigenvalue).
     """
     cfg = config or IntegratorConfig()
@@ -249,16 +248,9 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
     static_on = getattr(hamiltonian, "static_on", lambda a, b: False)
     dim = y.shape[0]
     eye = np.eye(dim)
-    terms = getattr(hamiltonian, "terms", None)
-    if terms is None:
-        def minus_ih(t):
-            return -1j * hamiltonian(t)
-    else:
-        flat = -1j * terms.reshape(len(terms), -1)
-        coefficients = hamiltonian.coefficients
 
-        def minus_ih(t):
-            return (coefficients(t) @ flat).reshape(dim, dim)
+    def minus_ih(t):
+        return -1j * hamiltonian(t)
 
     phase, max_drift, min_eig = 0.0, 0.0, 1.0
     out_t, out_states = [t_start], [QuantumState(y, state.dims, t_start)]

@@ -50,6 +50,10 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+class ConfigError(ValueError):
+    """Malformed, unknown, or invalid configuration entry."""
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     phi_min: float = 0.30
@@ -287,12 +291,15 @@ def _plateau_stats(records: list[TimeSeriesRecord]) -> dict:
 def resolve_t0(cfg: RampConfig, model: TruncatedModel) -> RampConfig:
     """cfg with auto_t0 replaced by its value: t0 = the half-exchange time at A.
 
-    Raises ValueError when t_end no longer lies beyond the resolved ramp.
+    Raises ConfigError when t_end no longer lies beyond the resolved ramp.
     """
     if not cfg.auto_t0:
         return cfg
     t0 = find_crossing_time(model, cfg.drive.A, t_max=4 * max(cfg.drive.t0, 100.0))
-    return replace(cfg, drive=replace(cfg.drive, t0=t0), auto_t0=False)
+    try:
+        return replace(cfg, drive=replace(cfg.drive, t0=t0), auto_t0=False)
+    except ValueError as exc:
+        raise ConfigError(f"auto_t0 moved t0 to {t0:g}: {exc}") from exc
 
 
 def run_ramp(

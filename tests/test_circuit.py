@@ -24,7 +24,7 @@ from squidring.circuit import (
     quadratures,
     truncate_to_eigenbasis,
 )
-from squidring.linalg import is_hermitian
+from squidring.linalg import herm_func, is_hermitian
 
 OMEGA_S = 5773502691896.258           # 1/sqrt(3e-10 H * 1e-16 F)
 LAMBDA_S = 0.9182641402229019
@@ -151,6 +151,17 @@ def test_truncation_isometry_and_convergence(model):
 def test_truncation_convergence_guard():
     with pytest.raises(ConvergenceError):
         truncate_to_eigenbasis(CircuitParams(), pre_dim=8)
+
+
+def test_ring_hamiltonian_terms():
+    """build_hs is Hs = harmonic - nu cos(lambda_s x + 2 pi phi_x) - drive_scale rate charge,
+    with the shifted cosine taken directly, not through the cos_phi/sin_phi expansion."""
+    g = DimensionlessGroups.from_params(CircuitParams())
+    ops = fock_ring_ops(40, g.lambda_s)
+    phi, rate = 0.42864, 0.003
+    cos_shifted = herm_func(g.lambda_s * ops.flux + 2 * math.pi * phi * np.eye(40), np.cos)
+    expected = ops.harmonic - g.nu_tilde * cos_shifted - g.drive_scale * rate * ops.charge
+    np.testing.assert_allclose(build_hs(ops, g, phi, rate), expected, atol=1e-10)
 
 
 def test_total_hamiltonian_structure(model):

@@ -178,25 +178,6 @@ def test_step_map_matches_stepping(model, equation):
     assert _max_deviation(mapped, stepped) < 1e-12
 
 
-class _CallableOnly:
-    """A RampHamiltonian seen without its `terms` / `coefficients` pieces."""
-
-    def __init__(self, ham):
-        self.ham, self.breakpoints, self.static_on = ham, ham.breakpoints, ham.static_on
-
-    def __call__(self, t):
-        return self.ham(t)
-
-
-@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
-def test_ramp_steps_from_terms_match_callable(model, equation):
-    """In the ramp window, K(t) from the precomputed pieces equals -i H(t) per call."""
-    ham = RampHamiltonian(model, FluxDrive(t0=5.0, tr=3.0))
-    from_terms = _both_equations(model, equation, ham)
-    from_calls = _both_equations(model, equation, _CallableOnly(ham))
-    assert _max_deviation(from_terms, from_calls) < 1e-12
-
-
 def test_tdse_sample_grid_and_breakpoints(model):
     drive = FluxDrive(t0=10.0, tr=4.0)
     ham = RampHamiltonian(model, drive)
