@@ -38,12 +38,10 @@ from .experiments import (
 )
 from .linalg import (
     PositivityError,
-    SpectralDecomposition,
     herm_func,
     kron,
     partial_trace,
     propagator,
-    spectral,
     vn_entropy,
 )
 from .observables import (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import constants as _const
@@ -30,9 +30,13 @@ HBAR = _const.hbar
 KB = _const.k
 PHI0 = _const.h / (2 * _const.e)
 
+# Operating bias flux (Phi0): the default ramp start A and the default flux at
+# which the ring is truncated to its eigenbasis.
+DEFAULT_BIAS = 0.42864
+
 # Cosine-well energy as a multiple of Phi0^2/Lambda_s. Calibrated so that with
 # the default circuit the ring's first transition is resonant with one field
-# quantum at the 0.42864 Phi0 operating bias (which also reproduces the
+# quantum at the DEFAULT_BIAS operating point (which also reproduces the
 # ~326 omega_s^-1 half-exchange time there).
 JOSEPHSON_ENERGY_FACTOR = 0.074291666753732
 
@@ -136,7 +140,7 @@ class FluxDrive:
     rate(t):  (B-A)/tr inside the ramp window, 0 outside.
     """
 
-    A: float = 0.42864
+    A: float = DEFAULT_BIAS
     B: float = 0.38
     t0: float = 326.0
     tr: float = 16.6
@@ -217,11 +221,16 @@ class RingOperators:
         )
 
 
+@lru_cache(maxsize=8)
 def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
-    """Ring operators in the bare LC Fock basis of dimension pre_dim."""
+    """Ring operators in the bare LC Fock basis of dimension pre_dim.
+
+    They do not depend on the flux, so they are built once per (pre_dim,
+    lambda_s) and shared; the arrays are read-only.
+    """
     a = ladder(pre_dim)
     x = a + a.conj().T
-    return RingOperators(
+    ops = RingOperators(
         harmonic=(a.conj().T @ a + 0.5 * np.eye(pre_dim)),
         cos_phi=herm_func(lambda_s * x, np.cos),
         sin_phi=herm_func(lambda_s * x, np.sin),
@@ -229,6 +238,9 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
         charge=1j * (a.conj().T - a),
         a=a,
     )
+    for op in vars(ops).values():
+        op.flags.writeable = False
+    return ops
 
 
 def drive_coefficients(phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
@@ -311,7 +323,7 @@ class TruncatedModel:
 
 def truncate_to_eigenbasis(
     params: CircuitParams,
-    ring_ref_flux: float = 0.42864,
+    ring_ref_flux: float = DEFAULT_BIAS,
     pre_dim: int = 40,
     de: int = 4,
     ds: int = 4,

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .circuit import ConvergenceError, build_total
 from .config import ConfigError, RunConfig, apply_overrides, parse_config
 from .dynamics import IntegrationError, IntegratorConfig, QuantumState, evolve_tdse
-from .experiments import default_model, run_dissipative, run_ramp, run_sweep
+from .experiments import default_model, resolve_t0, run_dissipative, run_ramp, run_sweep
 from .linalg import PositivityError, herm_func, is_hermitian
 from .observables import TimeSeriesRecord, labeled_basis
 
@@ -57,17 +58,25 @@ def _model_from_config(cfg: RunConfig):
     )
 
 
-def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
+def _ramp_setup(cfg: RunConfig):
+    """(model, ramp config with auto_t0 resolved, cfg recording the t0 used)."""
     model = _model_from_config(cfg)
-    result = run_ramp(cfg.ramp_config(), model, cfg.integrator)
+    ramp = resolve_t0(cfg.ramp_config(), model)
+    used = replace(cfg, ramp=replace(cfg.ramp, t0=ramp.drive.t0, auto_t0=ramp.auto_t0))
+    return model, ramp, used
+
+
+def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+    model, ramp, cfg = _ramp_setup(cfg)
+    result = run_ramp(ramp, model, cfg.integrator)
     suffix = "csv" if fmt == "csv" else "jsonl"
     _write_ramp(out / f"ramp.{suffix}", result.records, fmt)
     lines = ["ramp run", f"  samples: {len(result.records)}"]
     lines += [f"  plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
-    return lines
+    return cfg, lines
 
 
-def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
+def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
     result = run_sweep(cfg.sweep_config(), cfg.circuit,
                        de=cfg.truncation.de, ds=cfg.truncation.ds,
                        pre_dim=cfg.truncation.pre_dim)
@@ -87,13 +96,13 @@ def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
             lines.append(f"  twin-center sum: {centers[0] + centers[-1]:.5f} Phi0")
     else:
         lines.append("  no exchange regions detected")
-    return lines
+    return cfg, lines
 
 
-def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
-    model = _model_from_config(cfg)
+def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+    model, ramp, cfg = _ramp_setup(cfg)
     results = run_dissipative(
-        cfg.ramp_config(), model, gammas=cfg.bath.gammas,
+        ramp, model, gammas=cfg.bath.gammas,
         Tb=cfg.bath.Tb, omega_b=cfg.bath.omega_b, integrator=cfg.integrator,
     )
     suffix = "csv" if fmt == "csv" else "jsonl"
@@ -103,10 +112,10 @@ def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
         _write_ramp(out / f"dissipative_gamma_{tag}.{suffix}", result.records, fmt)
         lines.append(f"  gamma = {gamma:g} omega_s:")
         lines += [f"    plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
-    return lines
+    return cfg, lines
 
 
-def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
+def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
     """Invariant battery on the configured model; raises on failure."""
     model = _model_from_config(cfg)
     drive = cfg.flux_drive()
@@ -152,7 +161,7 @@ def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> list[str]:
             failed.append(name)
     if failed:
         raise IntegrationError(f"model validation failed: {'; '.join(failed)}")
-    return lines
+    return cfg, lines
 
 
 _RUNNERS = {
@@ -211,19 +220,23 @@ def main(argv=None) -> int:
     out = Path(args.out) if args.out is not None else Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     fmt = args.format or cfg.output.format
-    (out / "resolved_config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
+
+    def write_config(used: RunConfig) -> None:
+        (out / "resolved_config.json").write_text(json.dumps(used.to_dict(), indent=2) + "\n")
 
     try:
-        lines = _RUNNERS[args.command](cfg, out, fmt)
+        used, lines = _RUNNERS[args.command](cfg, out, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, PositivityError, ConvergenceError) as exc:
+        write_config(cfg)  # as configured: a failed run may not have resolved auto_t0
         diag = out / "diagnostic.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"numerical failure: {exc} (see {diag})", file=sys.stderr)
         return 3
 
+    write_config(used)
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .circuit import CircuitParams, FluxDrive
+from .circuit import DEFAULT_BIAS, CircuitParams, FluxDrive
 from .dynamics import IntegratorConfig
 from .experiments import ConfigError, RampConfig, SweepConfig
 
@@ -58,7 +58,7 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RampBlock:
-    A: float = 0.42864
+    A: float = DEFAULT_BIAS
     B: float = 0.38
     t0: float = 326.0
     tr: float = 16.6

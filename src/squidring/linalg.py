@@ -7,7 +7,6 @@ Entropies are in nats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,24 +40,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron operands must be square")
     return np.kron(a, b)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """eigh result: ascending eigenvalues, unitary matrix of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectral(a: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator (ascending eigenvalues)."""
-    w, v = np.linalg.eigh(a)
-    return SpectralDecomposition(w, v)
 
 
 def herm_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -88,6 +88,49 @@ def time_averaged_energy(times: np.ndarray, values: np.ndarray,
     return float(avg), bool(abs(avg - avg_half) / scale < rel_tol)
 
 
+def _trapezoid_phase_sums(theta: np.ndarray, n: int) -> np.ndarray:
+    """sum_{j=0..n} w_j exp(-i theta j), trapezoid weights w_0 = w_n = 1/2, else 1.
+
+    The geometric sum is taken as exp(-i n theta/2) sin((n+1) theta/2) / sin(theta/2),
+    which stays accurate for the near-degenerate |theta| << 1, where the form
+    (1 - z^(n+1)) / (1 - z) cancels.
+    """
+    half = theta / 2
+    s = np.sin(half)
+    dirichlet = np.divide(np.sin((n + 1) * half), s, out=np.full(theta.shape, n + 1.0),
+                          where=s != 0)
+    return np.exp(-1j * n * half) * dirichlet - 0.5 * (1 + np.exp(-1j * n * theta))
+
+
+def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
+                             amplitudes: np.ndarray,
+                             rel_tol: float = 0.01) -> tuple[float, bool]:
+    """time_averaged_energy of E(t) = sum_kl amplitudes[k, l] exp(-i (energies[l] -
+    energies[k]) t) on the uniform grid `times`, without sampling E(t).
+
+    Each exponential's trapezoid sum is a geometric series, so the cost does not
+    grow with the number of samples. `amplitudes` is Hermitian (E is real); the
+    grid starts at t = 0 and resolves every gap: |energies[l] - energies[k]| *
+    step < 2 pi.
+    """
+    times = np.asarray(times, float)
+    n = times.size - 1
+    if n < 1 or times[0] != 0:
+        raise ValueError("need at least two samples, starting at t = 0")
+    step = times[-1] / n
+    theta = (energies[None, :] - energies[:, None]) * step
+
+    def average(m: int) -> float:  # over times[:m + 1]
+        total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m)).real
+        return float(total * step / times[m])
+
+    avg = average(n)
+    k = np.searchsorted(times, times[-1] / 2, side="right")
+    avg_half = average(k - 1)
+    scale = max(abs(avg), 1e-30)
+    return avg, bool(abs(avg - avg_half) / scale < rel_tol)
+
+
 def entanglement_indices(state: QuantumState) -> tuple[float, float]:
     """(I_e, I_s) with I_i = S(rho) - S(rho_i); equal and <= 0 for pure states."""
     rho = state.density()

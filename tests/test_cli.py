@@ -135,6 +135,26 @@ def test_auto_t0_beyond_t_end_exits_2(tmp_path, capsys):
     assert not (out / "summary.txt").exists()
 
 
+def test_resolved_config_is_the_config_run(tmp_path):
+    """resolved_config.json records the t0 that auto_t0 resolved to, reruns to
+    the same data, and is not left behind when a runner rejects the config."""
+    out, rerun = tmp_path / "auto", tmp_path / "rerun"
+    assert main(["ramp", "--out", str(out), "--set", "ramp.t0=100",
+                 "--set", "ramp.auto_t0=true", "--set", "ramp.t_end=500",
+                 "--set", "output.sample_dt=5"]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["ramp"]["t0"] == pytest.approx(317.4, abs=0.5)
+    assert resolved["ramp"]["auto_t0"] is False
+    assert main(["ramp", "--config", str(out / "resolved_config.json"),
+                 "--out", str(rerun)]) == 0
+    assert (rerun / "ramp.csv").read_bytes() == (out / "ramp.csv").read_bytes()
+
+    late = tmp_path / "late"
+    assert main(["ramp", "--out", str(late), "--set", "ramp.t0=50",
+                 "--set", "ramp.t_end=200", "--set", "ramp.auto_t0=true"]) == 2
+    assert not (late / "resolved_config.json").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     out = tmp_path / "blowup"
     code = main(["ramp", "--out", str(out), "--set", "integrator.dt=5"]

@@ -9,21 +9,14 @@ import pytest
 import squidring as sq
 from squidring.circuit import CircuitParams, FluxDrive, StaticHamiltonian, build_he, build_total
 from squidring.dynamics import QuantumState, evolve_tdse
-from squidring.experiments import _static_averages, worker_count
-from squidring.observables import labeled_basis
+from squidring.experiments import _static_averages
+from squidring.observables import labeled_basis, time_averaged_energy
 
 BIAS = 0.42864
 
 # half-exchange time of |1e,0s> <-> |0e,1s> at the bias point, from an
 # independent spectral-evolution script
 CROSSING_TIME = 317.4
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SQUIDRING_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("SQUIDRING_THREADS")
-    assert worker_count() >= 1
 
 
 def test_sweep_config_validation():
@@ -51,6 +44,31 @@ def test_static_point_off_resonance():
     )
     assert abs(avg_e - 1.5) < 0.02
     assert conv_e
+
+
+@pytest.mark.parametrize("phi", [BIAS, 0.33])
+def test_static_averages_match_time_grid(phi):
+    """The sweep's closed-form averages and flags equal time_averaged_energy on
+    energies sampled along the evolved state, on resonance and off it."""
+    tau, dt = 2000.0, 0.25
+    got = _static_averages(CircuitParams(), phi, tau=tau, sample_dt=dt,
+                           de=4, ds=4, pre_dim=40, initial_label=(1, 0))
+    model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
+                                      check_convergence=False)
+    w, v = np.linalg.eigh(build_total(model, phi))
+    psi0 = np.zeros(16, complex)
+    psi0[1 * 4 + 0] = 1.0
+    ts = np.linspace(0.0, tau, 8001)
+    psi_t = v @ (np.exp(-1j * np.outer(w, ts)) * (v.conj().T @ psi0)[:, None])
+    want = []
+    for op in (np.kron(build_he(4, model.groups), np.eye(4)),
+               np.kron(np.eye(4), model.ring_hamiltonian(phi))):
+        energies = np.sum(psi_t.conj() * (op @ psi_t), axis=0).real
+        want.append(time_averaged_energy(ts, energies))
+    (avg_e, conv_e), (avg_s, conv_s) = want
+    assert abs(got[0] - avg_e) < 1e-12
+    assert abs(got[1] - avg_s) < 1e-12
+    assert got[2:] == (conv_e, conv_s)
 
 
 def test_static_point_matches_integrator():

@@ -20,7 +20,6 @@ from squidring.linalg import (
     kron,
     partial_trace,
     propagator,
-    spectral,
     vn_entropy,
 )
 
@@ -58,14 +57,6 @@ def test_kron_ordering_and_square_check():
     assert k[0 * 3 + 1, 0 * 3 + 1] == 1.0 * 20.0
     with pytest.raises(ValueError):
         kron(np.ones((2, 3)), b)
-
-
-def test_spectral_reconstruct():
-    h = random_hermitian(6, seed=1)
-    dec = spectral(h)
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
-    assert is_unitary(dec.eigenvectors)
-    np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-12)
 
 
 def test_herm_func_diagonal():

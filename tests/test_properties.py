@@ -1,7 +1,9 @@
-"""Property tests for the shared integrator core over random small systems."""
+"""Property tests over random small systems: the shared integrator core and the
+closed-form static time average."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,6 +12,7 @@ from scipy.linalg import expm
 from squidring.circuit import HBAR, KB, CircuitParams, StaticHamiltonian, ladder
 from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
 from squidring.linalg import hermitize
+from squidring.observables import closed_form_time_average, time_averaged_energy
 
 T_END = 2.0
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
@@ -69,3 +72,50 @@ def test_static_tdse_is_matrix_exponential(system):
                        T_END, sample_dt=0.5)
     for sample in traj.states:
         assert np.max(np.abs(sample.data - expm(-1j * h * sample.t) @ psi0)) < 1e-6
+
+
+@st.composite
+def spectra(draw):
+    """(energies, U, observable, psi0) for H = U diag(energies) U† of dimension
+    2-6 whose spectrum is generic, exactly degenerate or nearly degenerate."""
+    d = draw(st.integers(2, 6))
+    unit = st.floats(-1.0, 1.0)
+    energies = 3 * draw(arrays(float, d, elements=unit))
+    kind = draw(st.sampled_from(["generic", "degenerate", "near-degenerate"]))
+    if kind == "degenerate":
+        energies[1] = energies[0]
+    elif kind == "near-degenerate":
+        energies[1] = energies[0] + draw(st.floats(1e-9, 1e-3))
+    re, im, o_re, o_im = (draw(arrays(float, (d, d), elements=unit)) for _ in range(4))
+    u, _ = np.linalg.qr(re + 1j * im)
+    v = draw(arrays(float, 2 * d, elements=unit))
+    psi0 = v[:d] + 1j * v[d:]
+    if np.linalg.norm(psi0) < 0.1:
+        psi0 = np.eye(d)[0].astype(complex)
+    return energies, u, hermitize(o_re + 1j * o_im), psi0 / np.linalg.norm(psi0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spectra(), st.floats(1.0, 100.0), st.floats(0.01, 0.25))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_closed_form_average_is_sampled_trapezoid(parity, spectrum, tau, sample_dt):
+    """The closed-form time average and its flag equal time_averaged_energy on
+    E(t) sampled over the grid, for odd and even sample counts."""
+    energies, u, obs, psi0 = spectrum
+    nt = max(3, int(round(tau / sample_dt)) + 1)
+    nt += (nt - parity) % 2
+    ts = np.linspace(0.0, tau, nt)
+    c = u.conj().T @ psi0
+    psi_t = u @ (np.exp(-1j * np.outer(energies, ts)) * c[:, None])
+    sampled = np.sum(psi_t.conj() * (obs @ psi_t), axis=0).real
+    amplitudes = c.conj()[:, None] * (u.conj().T @ obs @ u) * c
+
+    avg, flag = closed_form_time_average(ts, energies, amplitudes)
+    want, want_flag = time_averaged_energy(ts, sampled)
+    assert abs(avg - want) < 1e-12
+    # the flag compares |avg - avg_half| with rel_tol * |avg|; where the two lie
+    # within round-off of each other the decision is round-off, not a property
+    k = np.searchsorted(ts, tau / 2, side="right")
+    want_half, _ = time_averaged_energy(ts[:k], sampled[:k])
+    if abs(abs(want - want_half) - 0.01 * max(abs(want), 1e-30)) > 1e-12:
+        assert flag == want_flag
