@@ -27,6 +27,7 @@ from .dynamics import (
     thermal_occupation,
 )
 from .experiments import (
+    BathConfig,
     ExchangeRegion,
     RampConfig,
     SweepConfig,

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import ConvergenceError, build_total
-from .config import ConfigError, RunConfig, apply_overrides, parse_config
-from .dynamics import IntegrationError, IntegratorConfig, QuantumState, evolve_tdse
+from .circuit import ConvergenceError, RampHamiltonian, build_hs, build_total, fock_ring_ops
+from .config import ConfigError, RunConfig, apply_overrides, parse_config, read_config
+from .dynamics import IntegrationError, QuantumState, evolve_tdse
 from .experiments import default_model, resolve_t0, run_dissipative, run_ramp, run_sweep
-from .linalg import PositivityError, herm_func, is_hermitian
+from .linalg import PositivityError, is_hermitian
 from .observables import TimeSeriesRecord, labeled_basis
 
 NUMERIC_FMT = ".15g"
@@ -59,16 +59,14 @@ def _model_from_config(cfg: RunConfig):
 
 
 def _ramp_setup(cfg: RunConfig):
-    """(model, ramp config with auto_t0 resolved, cfg recording the t0 used)."""
+    """(model, cfg with the ramp's auto_t0 resolved, i.e. recording the t0 used)."""
     model = _model_from_config(cfg)
-    ramp = resolve_t0(cfg.ramp_config(), model)
-    used = replace(cfg, ramp=replace(cfg.ramp, t0=ramp.drive.t0, auto_t0=ramp.auto_t0))
-    return model, ramp, used
+    return model, replace(cfg, ramp=resolve_t0(cfg.ramp, model))
 
 
 def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
-    model, ramp, cfg = _ramp_setup(cfg)
-    result = run_ramp(ramp, model, cfg.integrator)
+    model, cfg = _ramp_setup(cfg)
+    result = run_ramp(cfg.ramp, model, cfg.integrator, sample_dt=cfg.output.sample_dt)
     suffix = "csv" if fmt == "csv" else "jsonl"
     _write_ramp(out / f"ramp.{suffix}", result.records, fmt)
     lines = ["ramp run", f"  samples: {len(result.records)}"]
@@ -77,7 +75,7 @@ def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]
 
 
 def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
-    result = run_sweep(cfg.sweep_config(), cfg.circuit,
+    result = run_sweep(cfg.sweep, cfg.circuit,
                        de=cfg.truncation.de, ds=cfg.truncation.ds,
                        pre_dim=cfg.truncation.pre_dim)
     suffix = "csv" if fmt == "csv" else "jsonl"
@@ -100,11 +98,8 @@ def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str
 
 
 def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
-    model, ramp, cfg = _ramp_setup(cfg)
-    results = run_dissipative(
-        ramp, model, gammas=cfg.bath.gammas,
-        Tb=cfg.bath.Tb, omega_b=cfg.bath.omega_b, integrator=cfg.integrator,
-    )
+    model, cfg = _ramp_setup(cfg)
+    results = run_dissipative(cfg.ramp, model, cfg.bath, cfg.integrator, cfg.output.sample_dt)
     suffix = "csv" if fmt == "csv" else "jsonl"
     lines = ["dissipative run"]
     for gamma, result in results.items():
@@ -118,7 +113,7 @@ def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, li
 def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
     """Invariant battery on the configured model; raises on failure."""
     model = _model_from_config(cfg)
-    drive = cfg.flux_drive()
+    drive = cfg.ramp.drive
     checks: list[tuple[str, bool]] = []
 
     for t in (0.0, drive.t0 + drive.tr / 2, 3 * drive.t0):
@@ -127,7 +122,6 @@ def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[
 
     # twin symmetry holds for the full ring spectrum, so check it in the
     # pre-truncation basis (the truncated basis is tied to one flux point)
-    from .circuit import build_hs, fock_ring_ops
     full = fock_ring_ops(model.pre_dim, model.groups.lambda_s)
     w1 = np.linalg.eigvalsh(build_hs(full, model.groups, drive.A))[: model.ds]
     w2 = np.linalg.eigvalsh(build_hs(full, model.groups, 1.0 - drive.A))[: model.ds]
@@ -147,7 +141,6 @@ def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[
         np.max(np.abs(gram - np.eye(model.dim))) < 1e-10)))
 
     psi0 = QuantumState.pure(basis.state(1, 0), (model.de, model.ds))
-    from .circuit import RampHamiltonian
     traj = evolve_tdse(psi0, RampHamiltonian(model, drive), 50.0,
                        config=cfg.integrator, sample_dt=5.0)
     checks.append(("TDSE norm preserved over 50 omega_s^-1 (< 1e-9)",
@@ -196,19 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = {}
-        if args.config is not None:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
-            try:
-                raw = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("top-level config must be a JSON object")
+        raw = read_config(args.config)
         apply_overrides(raw, args.overrides)
         if args.command != "validate":
             raw["experiment"] = args.command

@@ -60,19 +60,10 @@ class BathParams:
             raise ValueError("damping rates must be nonnegative")
 
     @property
-    def mean_occupation(self) -> float:
+    def mean_occupation(self) -> float:  # both baths share Tb and omega_b
         if self.omega_b is None:
             raise ValueError("BathParams.omega_b is unset")
         return thermal_occupation(self.Tb, self.omega_b)
-
-    # both baths share Tb and omega_b
-    @property
-    def Me(self) -> float:
-        return self.mean_occupation
-
-    @property
-    def Ms(self) -> float:
-        return self.mean_occupation
 
 
 @dataclass

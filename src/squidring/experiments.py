@@ -7,7 +7,7 @@ validated against that same spectral solution in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -45,6 +45,9 @@ class ConfigError(ValueError):
     """Malformed, unknown, or invalid configuration entry."""
 
 
+INITIAL_LABEL = (1, 0)  # runs start in |1e,0s>: one field quantum, ring in its ground state
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     phi_min: float = 0.30
@@ -52,14 +55,15 @@ class SweepConfig:
     points: int = 201
     tau: float = 2000.0
     sample_dt: float = 0.25
-    initial_label: tuple[int, int] = (1, 0)
     refine: bool = True
 
     def __post_init__(self):
         if not (0 < self.phi_min < self.phi_max < 1):
             raise ValueError("sweep flux range must satisfy 0 < phi_min < phi_max < 1")
-        if self.points < 2:
-            raise ValueError("sweep needs at least 2 points")
+        if not isinstance(self.points, int) or self.points < 2:
+            raise ValueError("sweep.points must be an integer >= 2")
+        if not (self.tau > 0 and self.sample_dt > 0):
+            raise ValueError("sweep.tau and sweep.sample_dt must be positive")
 
     @property
     def grid(self) -> np.ndarray:
@@ -68,24 +72,51 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class RampConfig:
-    drive: FluxDrive = field(default_factory=FluxDrive)
+    A: float = FluxDrive.A
+    B: float = FluxDrive.B
+    t0: float = FluxDrive.t0
+    tr: float = FluxDrive.tr
     t_end: float | None = None          # default 3 * t0
-    sample_dt: float = 0.5
-    baths: BathParams | None = None
+    auto_t0: bool = False               # replace t0 by the half-exchange time at A
     label_mode: str = "instantaneous"   # or "frozen" (labels stay at the A basis)
-    auto_t0: bool = False
 
     def __post_init__(self):
         if self.label_mode not in ("instantaneous", "frozen"):
             raise ValueError(f"unknown label_mode {self.label_mode!r}")
-        end, ramp_end = self.resolved_t_end, self.drive.t0 + self.drive.tr
+        drive = self.drive
+        end, ramp_end = self.resolved_t_end, drive.t0 + drive.tr
         if end <= ramp_end:
             raise ValueError(f"t_end = {end:g} must lie beyond the end of the ramp "
                              f"at t0 + tr = {ramp_end:g}")
 
     @property
+    def drive(self) -> FluxDrive:
+        return FluxDrive(A=self.A, B=self.B, t0=self.t0, tr=self.tr)
+
+    @property
     def resolved_t_end(self) -> float:
-        return 3 * self.drive.t0 if self.t_end is None else self.t_end
+        return 3 * self.t0 if self.t_end is None else self.t_end
+
+
+@dataclass(frozen=True)
+class BathConfig:
+    """Damping rates (omega_s units, one run each, applied to both baths),
+    bath temperature in K and bath frequency in rad/s (None = omega_s)."""
+
+    gammas: tuple[float, ...] = (1e-5, 1e-4)
+    Tb: float = BathParams.Tb
+    omega_b: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.gammas, (list, tuple)) or not self.gammas:
+            raise ValueError("bath.gammas must be a nonempty list of rates")
+        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        if any(g < 0 for g in self.gammas):
+            raise ValueError("bath.gammas must be nonnegative")
+        if self.Tb <= 0:
+            raise ValueError("bath.Tb must be positive")
+        if self.omega_b is not None and self.omega_b <= 0:
+            raise ValueError("bath.omega_b must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,11 +168,10 @@ def _static_averages(
     de: int,
     ds: int,
     pre_dim: int,
-    initial_label: tuple[int, int],
 ) -> tuple[float, float, bool, bool]:
     """Exact evolution at fixed flux; returns (<<He>>, <<Hs>>, conv_e, conv_s).
 
-    The ring is re-diagonalized at this flux so the initial label is local.
+    The ring is re-diagonalized at this flux so INITIAL_LABEL is local.
     The averages are time_averaged_energy's trapezoid rule on the sample grid
     of spacing ~sample_dt, summed in closed form in the eigenbasis of H.
     """
@@ -150,7 +180,7 @@ def _static_averages(
         check_convergence=False,
     )
     w, v = np.linalg.eigh(build_total(model, phi_x))
-    ne, ms = initial_label
+    ne, ms = INITIAL_LABEL
     c = v[ne * ds + ms].conj()  # the initial state |ne, ms> in the eigenbasis
     ts = np.linspace(0.0, tau, max(3, int(round(tau / sample_dt)) + 1))
     averages = []
@@ -170,8 +200,7 @@ def _detect_regions(cfg: SweepConfig, params: CircuitParams, grid: np.ndarray,
     spacing = grid[1] - grid[0]
 
     def point_avg(phi: float) -> float:
-        return _static_averages(params, phi, cfg.tau, cfg.sample_dt,
-                                de, ds, pre_dim, cfg.initial_label)[0]
+        return _static_averages(params, phi, cfg.tau, cfg.sample_dt, de, ds, pre_dim)[0]
 
     regions = []
     for k in range(len(grid)):
@@ -218,15 +247,15 @@ def run_sweep(
     """Time-averaged component energies vs static bias flux, plus exchange regions."""
     params = params or CircuitParams()
     grid = cfg.grid
-    results = [_static_averages(params, phi, cfg.tau, cfg.sample_dt,
-                                de, ds, pre_dim, cfg.initial_label) for phi in grid]
+    results = [_static_averages(params, phi, cfg.tau, cfg.sample_dt, de, ds, pre_dim)
+               for phi in grid]
 
     points = [
         SweepPoint(phi_x=float(phi), avg_E_e=r[0], avg_E_s=r[1],
                    converged=bool(r[2] and r[3]))
         for phi, r in zip(grid, results)
     ]
-    ne, _ = cfg.initial_label
+    ne, _ = INITIAL_LABEL
     baseline = (ne + 0.5) * DimensionlessGroups.from_params(params).omega_ratio
     avg_e = np.array([p.avg_E_e for p in points])
     regions = _detect_regions(cfg, params, grid, avg_e, baseline, de, ds, pre_dim)
@@ -273,9 +302,9 @@ def resolve_t0(cfg: RampConfig, model: TruncatedModel) -> RampConfig:
     """
     if not cfg.auto_t0:
         return cfg
-    t0 = find_crossing_time(model, cfg.drive.A, t_max=4 * max(cfg.drive.t0, 100.0))
+    t0 = find_crossing_time(model, cfg.A, t_max=4 * max(cfg.t0, 100.0))
     try:
-        return replace(cfg, drive=replace(cfg.drive, t0=t0), auto_t0=False)
+        return replace(cfg, t0=t0, auto_t0=False)
     except ValueError as exc:
         raise ConfigError(f"auto_t0 moved t0 to {t0:g}: {exc}") from exc
 
@@ -284,28 +313,30 @@ def run_ramp(
     cfg: RampConfig,
     model: TruncatedModel,
     integrator: IntegratorConfig | None = None,
+    *,
+    sample_dt: float = 0.5,
+    baths: BathParams | None = None,
 ) -> RampResult:
     """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set."""
     cfg = resolve_t0(cfg, model)
     drive = cfg.drive
     ham = RampHamiltonian(model, drive)
     basis_a = labeled_basis(model, drive.A)
-    psi0 = basis_a.state(1, 0)
+    psi0 = basis_a.state(*INITIAL_LABEL)
     state0 = QuantumState.pure(psi0, (model.de, model.ds), t=0.0)
     t_end = cfg.resolved_t_end
 
-    if cfg.baths is not None:
-        baths = cfg.baths
+    if baths is not None:
         if baths.omega_b is None:
             baths = replace(baths, omega_b=model.params.omega_s)
         rho0 = QuantumState.mixed(state0.density(), state0.dims, t=0.0)
         traj = evolve_lindblad(
             rho0, ham, baths, model.collapse_operators(), t_end,
-            config=integrator, sample_dt=cfg.sample_dt,
+            config=integrator, sample_dt=sample_dt,
         )
     else:
         traj = evolve_tdse(
-            state0, ham, t_end, config=integrator, sample_dt=cfg.sample_dt
+            state0, ham, t_end, config=integrator, sample_dt=sample_dt
         )
 
     basis_b = labeled_basis(model, drive.B)
@@ -327,19 +358,17 @@ def run_ramp(
 def run_dissipative(
     cfg: RampConfig,
     model: TruncatedModel,
-    gammas=(1e-5, 1e-4),
-    Tb: float = 4.2,
-    omega_b: float | None = None,
+    bath: BathConfig = BathConfig(),
     integrator: IntegratorConfig | None = None,
+    sample_dt: float = 0.5,
 ) -> dict[float, RampResult]:
     """Lindblad ramp runs, one per damping rate (applied equally to both baths)."""
-    omega_b = omega_b if omega_b is not None else model.params.omega_s
     cfg = resolve_t0(cfg, model)
     out = {}
-    for gamma in gammas:
-        baths = BathParams(gamma_e=gamma, gamma_s=gamma, Tb=Tb, omega_b=omega_b)
-        result = run_ramp(replace(cfg, baths=baths), model, integrator)
-        ramp_end = cfg.drive.t0 + cfg.drive.tr
+    for gamma in bath.gammas:
+        baths = BathParams(gamma_e=gamma, gamma_s=gamma, Tb=bath.Tb, omega_b=bath.omega_b)
+        result = run_ramp(cfg, model, integrator, sample_dt=sample_dt, baths=baths)
+        ramp_end = cfg.t0 + cfg.tr
         below = [r.t for r in result.records if r.t > ramp_end and r.ent_mag < 0.5]
         result.plateau["t_ent_below_half"] = below[0] if below else None
         out[gamma] = result

@@ -44,6 +44,14 @@ def test_bad_override_exits_2(tmp_path, capsys):
     assert main(["ramp", "--out", str(tmp_path), "--set", "ramp.t0"]) == 2
 
 
+def test_invalid_value_exits_2(tmp_path, capsys):
+    """A value that would give an all-NaN sweep is a config error, not data."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), "--set", "sweep.tau=0"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ramp_run_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["ramp", "--out", str(out)] + SHORT_RAMP)

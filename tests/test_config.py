@@ -1,8 +1,12 @@
 """Strict config parsing: defaults, rejection of unknown keys, round-tripping."""
 import json
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
+from squidring.cli import main
 from squidring.config import (
     ConfigError,
     RunConfig,
@@ -111,3 +115,52 @@ def test_truncation_validation():
         parse_config({"truncation": {"ds": 1}})
     with pytest.raises(ConfigError):
         parse_config({"truncation": {"pre_dim": 4}})
+
+
+@pytest.mark.parametrize("override", [
+    "bath.omega_b=-1",
+    "bath.gammas=[]",
+    "sweep.points=3.5",
+    "sweep.tau=0",
+    "sweep.tau=-50",
+    "sweep.sample_dt=-1",
+    "truncation.de=4.5",
+    "truncation.pre_dim=40.5",
+])
+def test_invalid_values_rejected(override):
+    with pytest.raises(ConfigError, match="invalid value"):
+        parse_config(apply_overrides({}, [override]))
+
+
+def _readme_config() -> dict:
+    """The default config documented in the README's jsonc block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"//[^\n]*", "", block))
+
+
+def _keys(config: dict) -> dict:
+    """Top-level keys of a JSON config, each with its block's keys (None for a scalar)."""
+    return {name: set(value) if isinstance(value, dict) else None
+            for name, value in config.items()}
+
+
+def test_config_schema_is_the_readme(tmp_path):
+    """The config accepts exactly the keys the README lists, with the README's
+    defaults, and resolved_config.json writes exactly those keys; runtime
+    arguments of the pipelines are not config keys."""
+    documented = _readme_config()
+    cfg = parse_config(documented)
+    assert cfg == parse_config({})
+    accepted = {f.name: ({g.name for g in fields(getattr(cfg, f.name))}
+                         if is_dataclass(getattr(cfg, f.name)) else None)
+                for f in fields(RunConfig)}
+    assert _keys(documented) == accepted
+    for key in ("seed", "sweep.initial_label", "ramp.sample_dt", "ramp.baths",
+                "ramp.drive"):
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_config(apply_overrides({}, [f"{key}=1"]))
+
+    assert main(["validate", "--out", str(tmp_path)]) == 0
+    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert _keys(resolved) == accepted

@@ -50,8 +50,7 @@ def test_thermal_occupation_values():
 
 def test_bath_params():
     b = BathParams(gamma_e=1e-5, gamma_s=1e-5, Tb=4.2, omega_b=OMEGA_S)
-    assert b.Me == b.Ms == b.mean_occupation
-    assert abs(b.Me - M_DEFAULT) / M_DEFAULT < 1e-12
+    assert abs(b.mean_occupation - M_DEFAULT) / M_DEFAULT < 1e-12
     with pytest.raises(ValueError):
         BathParams(gamma_e=-1.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import squidring as sq
-from squidring.circuit import CircuitParams, FluxDrive, StaticHamiltonian, build_he, build_total
+from squidring.circuit import CircuitParams, StaticHamiltonian, build_he, build_total
 from squidring.dynamics import QuantumState, evolve_tdse
 from squidring.experiments import _static_averages
 from squidring.observables import labeled_basis, time_averaged_energy
@@ -40,7 +40,7 @@ def test_static_point_off_resonance():
     """Away from resonance the field keeps its quantum on time average."""
     avg_e, avg_s, conv_e, _ = _static_averages(
         CircuitParams(), 0.33, tau=2000.0, sample_dt=0.25,
-        de=4, ds=4, pre_dim=40, initial_label=(1, 0),
+        de=4, ds=4, pre_dim=40,
     )
     assert abs(avg_e - 1.5) < 0.02
     assert conv_e
@@ -52,7 +52,7 @@ def test_static_averages_match_time_grid(phi):
     energies sampled along the evolved state, on resonance and off it."""
     tau, dt = 2000.0, 0.25
     got = _static_averages(CircuitParams(), phi, tau=tau, sample_dt=dt,
-                           de=4, ds=4, pre_dim=40, initial_label=(1, 0))
+                           de=4, ds=4, pre_dim=40)
     model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
                                       check_convergence=False)
     w, v = np.linalg.eigh(build_total(model, phi))
@@ -80,7 +80,7 @@ def test_static_point_matches_integrator():
                                       check_convergence=False)
     avg_e, _, _, _ = _static_averages(
         CircuitParams(), phi, tau=tau, sample_dt=dt,
-        de=4, ds=4, pre_dim=40, initial_label=(1, 0),
+        de=4, ds=4, pre_dim=40,
     )
     h = build_total(model, phi)
     basis = labeled_basis(model, phi)
@@ -146,9 +146,9 @@ def test_ramp_probabilities_remain_normalized(ramp_result):
 
 
 def test_label_mode_changes_labels_not_entanglement(model):
-    cfg = dict(drive=FluxDrive(t0=20.0, tr=5.0), t_end=70.0, sample_dt=5.0)
-    inst = sq.run_ramp(sq.RampConfig(**cfg), model)
-    froz = sq.run_ramp(sq.RampConfig(label_mode="frozen", **cfg), model)
+    cfg = dict(t0=20.0, tr=5.0, t_end=70.0)
+    inst = sq.run_ramp(sq.RampConfig(**cfg), model, sample_dt=5.0)
+    froz = sq.run_ramp(sq.RampConfig(label_mode="frozen", **cfg), model, sample_dt=5.0)
     last_i, last_f = inst.records[-1], froz.records[-1]
     # the entanglement index is basis independent, the labels are not
     assert abs(last_i.ent_mag - last_f.ent_mag) < 1e-10
@@ -156,8 +156,8 @@ def test_label_mode_changes_labels_not_entanglement(model):
 
 
 def test_auto_t0_reaches_plateau(model):
-    cfg = sq.RampConfig(t_end=400.0, auto_t0=True, sample_dt=2.0)
-    result = sq.run_ramp(cfg, model)
+    cfg = sq.RampConfig(t_end=400.0, auto_t0=True)
+    result = sq.run_ramp(cfg, model, sample_dt=2.0)
     last = result.records[-1]
     assert 0.4 < last.P_10 < 0.6
     assert last.ent_mag > 0.6
