@@ -40,9 +40,7 @@ from .experiments import (
 from .linalg import (
     PositivityError,
     herm_func,
-    kron,
     partial_trace,
-    propagator,
     vn_entropy,
 )
 from .observables import (

@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import constants as _const
 
 from .linalg import herm_func, hermitize
 
-HBAR = _const.hbar
-KB = _const.k
-PHI0 = _const.h / (2 * _const.e)
+# Exact SI values since the 2019 redefinition (equal to scipy.constants bit for bit)
+_H = 6.62607015e-34    # Planck constant, J s
+_E = 1.602176634e-19   # elementary charge, C
+HBAR = _H / (2 * math.pi)
+KB = 1.380649e-23      # Boltzmann constant, J/K
+PHI0 = _H / (2 * _E)
 
 # Operating bias flux (Phi0): the default ramp start A and the default flux at
 # which the ring is truncated to its eigenbasis.

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .circuit import CircuitParams
-from .dynamics import IntegratorConfig
+from .dynamics import SAMPLE_DT, IntegratorConfig
 from .experiments import BathConfig, ConfigError, RampConfig, SweepConfig
 
 EXPERIMENTS = ("sweep", "ramp", "dissipative")
@@ -37,7 +37,7 @@ class TruncationConfig:
 class OutputConfig:
     directory: str = "out"
     format: str = "csv"
-    sample_dt: float = 0.5
+    sample_dt: float = SAMPLE_DT
 
     def __post_init__(self):
         if self.format not in FORMATS:
@@ -98,7 +98,9 @@ def read_config(path: str | Path | None) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column "
                           f"{exc.colno}: {exc.msg}") from exc

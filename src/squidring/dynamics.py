@@ -3,10 +3,11 @@
 Both integrators work in the dimensionless units of the circuit module
 (hbar = 1, time in 1/omega_s). Both equations are the linear ODE
 dy/dt = G(t) y, with y = psi or rho, and share one integrator core (`_evolve`):
-fixed-step RK4 or an embedded adaptive RK45 (scipy). Hamiltonians are passed
-as callables t -> H; objects exposing `breakpoints` and `static_on(a, b)` (see
-circuit.RampHamiltonian) let the core split at drive discontinuities and apply
-the RK4 step map as one cached matrix power on constant-H stretches.
+fixed-step RK4 or an embedded adaptive RK45 (scipy's, imported only for that
+method). Hamiltonians are passed as callables t -> H; objects exposing
+`breakpoints` and `static_on(a, b)` (see circuit.RampHamiltonian) let the core
+split at drive discontinuities and apply the RK4 step map as one cached matrix
+power on constant-H stretches.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .circuit import HBAR, KB
 from .linalg import PositivityError, hermitize
@@ -26,6 +26,8 @@ from .linalg import PositivityError, hermitize
 NORM_ABORT = 1e-6
 TRACE_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-6
+
+SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
 
 
 class IntegrationError(RuntimeError):
@@ -276,6 +278,8 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
                     k_start = k_end
                     t += h
         else:
+            from scipy.integrate import solve_ivp  # only this method needs scipy
+
             def f(t, v):
                 return eq.apply(minus_ih(t) + k_const, v.reshape(y.shape)).reshape(-1)
             sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
@@ -306,7 +310,7 @@ def evolve_tdse(
     hamiltonian,
     t_end: float,
     config: IntegratorConfig | None = None,
-    sample_dt: float = 0.5,
+    sample_dt: float = SAMPLE_DT,
     sample_times=None,
     breakpoints=None,
 ) -> Trajectory:
@@ -343,7 +347,7 @@ def evolve_lindblad(
     collapse_ops: tuple[np.ndarray, np.ndarray],
     t_end: float,
     config: IntegratorConfig | None = None,
-    sample_dt: float = 0.5,
+    sample_dt: float = SAMPLE_DT,
     sample_times=None,
     breakpoints=None,
 ) -> Trajectory:

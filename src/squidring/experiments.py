@@ -7,10 +7,12 @@ validated against that same spectral solution in the test suite.
 """
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .circuit import (
     DEFAULT_BIAS,
@@ -23,6 +25,7 @@ from .circuit import (
     truncate_to_eigenbasis,
 )
 from .dynamics import (
+    SAMPLE_DT,
     BathParams,
     IntegratorConfig,
     QuantumState,
@@ -81,6 +84,13 @@ class RampConfig:
     label_mode: str = "instantaneous"   # or "frozen" (labels stay at the A basis)
 
     def __post_init__(self):
+        for name in ("A", "B", "t0", "tr", "t_end"):
+            value = getattr(self, name)
+            if name == "t_end" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"ramp.{name} must be a finite number, got {value!r}")
         if self.label_mode not in ("instantaneous", "frozen"):
             raise ValueError(f"unknown label_mode {self.label_mode!r}")
         drive = self.drive
@@ -192,6 +202,137 @@ def _static_averages(
     return avg_e, avg_s, conv_e, conv_s
 
 
+def _fminbound(func, lo: float, hi: float, xatol: float = 1e-5,
+               maxfun: int = 500) -> tuple[float, float]:
+    """(x, func(x)) at a local minimum of func on [lo, hi].
+
+    Brent's fmin (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973): golden-section steps, parabolic ones where they are
+    safe. Step for step the arithmetic of scipy's
+    minimize_scalar(method="bounded"), so the result is bit-identical to it.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    xf = nfc = fulc = a + golden_mean * (b - a)  # best, second and third best x
+    fx = fnfc = ffulc = func(xf)
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+def _zeroin(func, a: float, b: float, xtol: float = 1e-5,
+            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """A root of func between a and b.
+
+    Brent's zeroin (Brent 1973; Forsythe, Malcolm & Moler 1977): secant and
+    inverse quadratic steps inside a shrinking sign-change bracket, bisection
+    where they are slow. Step for step the arithmetic of scipy's brentq, so
+    the result is bit-identical to it. Raises ValueError when func(a) and
+    func(b) have the same sign or func returns NaN, and RuntimeError after
+    maxiter steps without convergence.
+    """
+    def f(x: float) -> float:
+        fx = float(func(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre  # the bracket is [xcur, xblk]
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the smaller |f| at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # IEEE gives an infinite or NaN step: bisect
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"zeroin failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def _detect_regions(cfg: SweepConfig, params: CircuitParams, grid: np.ndarray,
                     avg_e: np.ndarray, baseline: float,
                     de: int, ds: int, pre_dim: int) -> list[ExchangeRegion]:
@@ -212,13 +353,7 @@ def _detect_regions(cfg: SweepConfig, params: CircuitParams, grid: np.ndarray,
             continue
         center, floor = grid[k], avg_e[k]
         if cfg.refine:
-            res = minimize_scalar(
-                point_avg,
-                bounds=(grid[k] - spacing, grid[k] + spacing),
-                method="bounded",
-                options={"xatol": 1e-5},
-            )
-            center, floor = float(res.x), float(res.fun)
+            center, floor = _fminbound(point_avg, grid[k] - spacing, grid[k] + spacing)
         depth = baseline - floor
         half = depth / 2
 
@@ -228,8 +363,8 @@ def _detect_regions(cfg: SweepConfig, params: CircuitParams, grid: np.ndarray,
         width = spacing
         if cfg.refine:
             try:
-                lo = brentq(half_dip, center - 2 * spacing, center, xtol=1e-5)
-                hi = brentq(half_dip, center, center + 2 * spacing, xtol=1e-5)
+                lo = _zeroin(half_dip, center - 2 * spacing, center)
+                hi = _zeroin(half_dip, center, center + 2 * spacing)
                 width = hi - lo
             except ValueError:
                 pass  # half-depth not bracketed; keep the grid-spacing estimate
@@ -314,7 +449,7 @@ def run_ramp(
     model: TruncatedModel,
     integrator: IntegratorConfig | None = None,
     *,
-    sample_dt: float = 0.5,
+    sample_dt: float = SAMPLE_DT,
     baths: BathParams | None = None,
 ) -> RampResult:
     """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set."""
@@ -360,7 +495,7 @@ def run_dissipative(
     model: TruncatedModel,
     bath: BathConfig = BathConfig(),
     integrator: IntegratorConfig | None = None,
-    sample_dt: float = 0.5,
+    sample_dt: float = SAMPLE_DT,
 ) -> dict[float, RampResult]:
     """Lindblad ramp runs, one per damping rate (applied equally to both baths)."""
     cfg = resolve_t0(cfg, model)

@@ -2,7 +2,7 @@
 
 Everything here operates on plain numpy arrays (complex, square). Density
 matrices and Hamiltonians share the same currency; helpers below check the
-flags (Hermitian / unitary / positive) that the rest of the package relies on.
+flags (Hermitian / positive) that the rest of the package relies on.
 Entropies are in nats.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 EIG_CLIP = 1e-8       # eigenvalues of rho in [-EIG_CLIP, 0) are round-off
 EIG_ZERO = 1e-14      # below this a population contributes 0 to -p ln p
 
@@ -30,28 +29,10 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) < tol)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    d = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(d))) < tol)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product. Component ordering is fixed as field (x) ring everywhere."""
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("kron operands must be square")
-    return np.kron(a, b)
-
-
 def herm_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a real scalar function to a Hermitian operator, V f(w) V†."""
     w, v = np.linalg.eigh(a)
     return hermitize((v * f(w)) @ v.conj().T)
-
-
-def propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """Unitary exp(-i h dt) for Hermitian h, hbar = 1 units."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import constants
 
 from squidring.circuit import (
     HBAR,
+    KB,
     PHI0,
     CircuitParams,
     ConvergenceError,
@@ -205,3 +207,10 @@ def test_static_hamiltonian_wrapper():
 def test_phi0_convention():
     # superconducting flux quantum h/2e, in Wb
     assert abs(PHI0 - 2.067833848e-15) / PHI0 < 1e-9
+
+
+def test_si_constants_equal_scipy():
+    """The exact 2019 SI literals reproduce scipy.constants bit for bit."""
+    assert HBAR == constants.hbar
+    assert KB == constants.k
+    assert PHI0 == constants.h / (2 * constants.e)

@@ -52,6 +52,28 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["ramp.B=null", 'ramp.A="x"', "ramp.A=true",
+                                      "ramp.B=NaN", "ramp.tr=true", "ramp.t_end=NaN"])
+def test_non_numeric_ramp_value_exits_2(tmp_path, capsys, override):
+    out = tmp_path / "run"
+    assert main(["ramp", "--out", str(out), "--set", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "run.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "run"
+    assert main(["ramp", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ramp_run_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["ramp", "--out", str(out)] + SHORT_RAMP)
@@ -181,6 +203,13 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "PASS" in summary and "FAIL" not in summary
 
 
+def _python(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run `python argv...` on the same squidring package as this suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(squidring.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_entry_point_installed(tmp_path):
     """pyproject.toml declares a `squidring` command and the command works.
 
@@ -197,12 +226,8 @@ def test_entry_point_installed(tmp_path):
     module, _, attr = scripts["squidring"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
 
-    # the subprocesses import the same squidring package as this suite
-    env = {**os.environ, "PYTHONPATH": str(Path(squidring.__file__).parents[1])}
-
     def run(*argv):
-        return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        return _python(*argv, cwd=tmp_path)
 
     console_script = (f"import sys; from {module} import {attr}; "
                       f"sys.argv[0] = 'squidring'; sys.exit({attr}())")
@@ -219,3 +244,37 @@ def test_entry_point_installed(tmp_path):
         done = subprocess.run([installed, "--help"], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """scipy is needed only by the adaptive integrator; startup must not pay for it."""
+    done = _python("-c", "import sys, squidring.cli; "
+                   "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+                   cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+NO_SCIPY_RUNS = [
+    ["validate"],
+    ["ramp"] + SHORT_RAMP,
+    ["dissipative", "--set", "bath.gamma=1e-4"] + SHORT_RAMP,
+    # five points around the 0.42864 resonance: one region, refined
+    ["sweep", "--set", "sweep.phi_min=0.4246", "--set", "sweep.phi_max=0.4326",
+     "--set", "sweep.points=5"],
+]
+
+
+def test_default_commands_run_without_scipy(tmp_path):
+    """Every command on its default path, with any scipy import made to fail."""
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
+            "from squidring.cli import main\n"
+            "runs = json.loads(sys.argv[1])\n"
+            "print(json.dumps([main(argv + ['--out', f'out{k}'])"
+            " for k, argv in enumerate(runs)]))\n")
+    done = _python("-c", code, json.dumps(NO_SCIPY_RUNS), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(NO_SCIPY_RUNS)
+    sweep = (tmp_path / "out3" / "summary.txt").read_text()
+    assert sweep.count("exchange region") == 1

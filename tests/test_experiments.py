@@ -3,13 +3,18 @@
 The heavy default runs come from session fixtures in conftest; tests here
 only add short bespoke runs.
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 import squidring as sq
 from squidring.circuit import CircuitParams, StaticHamiltonian, build_he, build_total
 from squidring.dynamics import QuantumState, evolve_tdse
-from squidring.experiments import _static_averages
+from squidring.experiments import _fminbound, _static_averages, _zeroin
 from squidring.observables import labeled_basis, time_averaged_energy
 
 BIAS = 0.42864
@@ -172,3 +177,56 @@ def test_dissipative_results_structure(dissipative_results):
     assert weak.trajectory.max_trace_drift < 1e-8
     assert strong.trajectory.max_trace_drift < 1e-8
     assert weak.trajectory.min_eigenvalue > -1e-8
+
+
+@st.composite
+def smooth_problems(draw):
+    """(f, lo, hi): c0 + c1 x + c2 x^2 + amp sin(w x + phase) on a random
+    interval; half the draws put a zero of f inside the interval, and some
+    round f to 0.1 or 0.01 steps, whose flat stretches make ties."""
+    coef = st.floats(-2.0, 2.0)
+    c0, c1, c2, amp = (draw(coef) for _ in range(4))
+    w = draw(st.floats(0.1, 10.0))
+    phase = draw(st.floats(-math.pi, math.pi))
+    lo = draw(st.floats(-3.0, 3.0))
+    hi = lo + draw(st.floats(1e-3, 3.0))
+    digits = draw(st.sampled_from([None, 1, 2]))
+
+    def f(x):
+        value = float(c0 + c1 * x + c2 * x * x + amp * math.sin(w * x + phase))
+        return value if digits is None else round(value, digits)
+
+    if draw(st.booleans()):
+        c0 -= f(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    return f, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_problems())
+def test_fminbound_is_scipy_bounded_minimizer(problem):
+    """The ported Brent minimiser returns scipy's x and f(x) bit for bit."""
+    f, lo, hi = problem
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5})
+    x, fx = _fminbound(f, lo, hi)
+    assert x == res.x and fx == res.fun
+
+
+def _underflowing(x):
+    """Values near 1e-300: zeroin's interpolation denominators underflow to 0."""
+    return -2.5e-300 + 1e-300 * x + 1e-300 * math.sin(2.0 * x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_problems())
+@example((_underflowing, 2.0, 4.0))
+def test_zeroin_is_scipy_brentq(problem):
+    """The ported Brent root finder returns scipy's root bit for bit, and
+    raises ValueError exactly where brentq finds no sign change."""
+    f, lo, hi = problem
+    try:
+        root = brentq(f, lo, hi, xtol=1e-5)
+    except ValueError:
+        with pytest.raises(ValueError, match="different signs"):
+            _zeroin(f, lo, hi)
+    else:
+        assert _zeroin(f, lo, hi) == root

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from squidring.linalg import (
     PositivityError,
@@ -16,10 +15,7 @@ from squidring.linalg import (
     herm_func,
     hermitize,
     is_hermitian,
-    is_unitary,
-    kron,
     partial_trace,
-    propagator,
     vn_entropy,
 )
 
@@ -44,19 +40,6 @@ def test_hermitize_and_checks():
     h = hermitize(a)
     assert is_hermitian(h)
     assert not is_hermitian(a)
-    assert is_unitary(np.eye(3))
-    assert not is_unitary(2 * np.eye(3))
-
-
-def test_kron_ordering_and_square_check():
-    a = np.diag([1.0, 2.0])
-    b = np.diag([10.0, 20.0, 30.0])
-    k = kron(a, b)
-    # element (i0*3 + i1, j0*3 + j1) = a[i0, j0] b[i1, j1]
-    assert k[1 * 3 + 2, 1 * 3 + 2] == 2.0 * 30.0
-    assert k[0 * 3 + 1, 0 * 3 + 1] == 1.0 * 20.0
-    with pytest.raises(ValueError):
-        kron(np.ones((2, 3)), b)
 
 
 def test_herm_func_diagonal():
@@ -72,21 +55,6 @@ def test_operator_trig_identity(seed, dim):
     c = herm_func(h, np.cos)
     s = herm_func(h, np.sin)
     np.testing.assert_allclose(c @ c + s @ s, np.eye(dim), atol=1e-12)
-
-
-def test_propagator_against_expm():
-    h = random_hermitian(5, seed=7)
-    u = propagator(h, 0.37)
-    assert is_unitary(u)
-    np.testing.assert_allclose(u, expm(-1j * 0.37 * h), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.floats(0.01, 3.0), st.floats(0.01, 3.0))
-def test_propagator_composition(seed, t1, t2):
-    h = random_hermitian(4, seed)
-    u = propagator(h, t1 + t2)
-    np.testing.assert_allclose(u, propagator(h, t2) @ propagator(h, t1), atol=1e-11)
 
 
 def _partial_trace_loops(rho, dims, keep):

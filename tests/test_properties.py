@@ -1,5 +1,5 @@
-"""Property tests over random small systems: the shared integrator core and the
-closed-form static time average."""
+"""Property tests over random small systems: the shared integrator core, the
+closed-form static time average and the twin symmetry of the static sweep."""
 import math
 
 import numpy as np
@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from squidring.circuit import HBAR, KB, CircuitParams, StaticHamiltonian, ladder
 from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
+from squidring.experiments import _static_averages
 from squidring.linalg import hermitize
 from squidring.observables import closed_form_time_average, time_averaged_energy
 
@@ -119,3 +120,16 @@ def test_closed_form_average_is_sampled_trapezoid(parity, spectrum, tau, sample_
     want_half, _ = time_averaged_energy(ts[:k], sampled[:k])
     if abs(abs(want - want_half) - 0.01 * max(abs(want), 1e-30)) > 1e-12:
         assert flag == want_flag
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(0.35, 0.48), st.floats(0.008, 0.012))
+def test_static_averages_twin_symmetry(phi, mu_es):
+    """The ring potential at bias 1 - phi mirrors the one at phi, so the
+    static time-averaged energies agree."""
+    params = CircuitParams(mu_es=mu_es)
+    grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
+    left = _static_averages(params, phi, **grid)
+    right = _static_averages(params, 1.0 - phi, **grid)
+    assert abs(left[0] - right[0]) < 1e-10
+    assert abs(left[1] - right[1]) < 1e-10
