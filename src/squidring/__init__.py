@@ -14,7 +14,6 @@ from .circuit import (
     build_hs,
     build_total,
     ladder,
-    quadratures,
     truncate_to_eigenbasis,
 )
 from .dynamics import (
@@ -44,14 +43,13 @@ from .linalg import (
     vn_entropy,
 )
 from .observables import (
+    RECORD_COLUMNS,
     LabeledBasis,
-    TimeSeriesRecord,
     basis_probabilities,
     bell_fidelity,
-    component_energy,
     entanglement_indices,
     labeled_basis,
-    record_from_state,
+    record_columns,
     time_averaged_energy,
 )
 

@@ -177,19 +177,6 @@ def ladder(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
 
 
-def quadratures(n: int, omega: float, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """SI flux/charge quadrature pair for an LC mode, [Phi, Q] = i hbar.
-
-    Phi = sqrt(hbar/(2 omega C)) (a + a†), Q = i sqrt(hbar omega C / 2) (a† - a).
-    """
-    if omega <= 0 or C <= 0:
-        raise ValueError("omega and C must be positive")
-    a = ladder(n)
-    phi = math.sqrt(HBAR / (2 * omega * C)) * (a + a.conj().T)
-    q = 1j * math.sqrt(HBAR * omega * C / 2) * (a.conj().T - a)
-    return phi, q
-
-
 @dataclass(frozen=True)
 class RingOperators:
     """Ring operators in some basis, all dimensionless (hbar*omega_s units).
@@ -310,6 +297,15 @@ class TruncatedModel:
     def ring_hamiltonian(self, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
         """build_hs on the truncated ring, from pieces built once per model."""
         return _combine(drive_coefficients(phi_x, phi_rate), self._ring_pieces)
+
+    def ring_hamiltonians(self, fluxes: np.ndarray) -> np.ndarray:
+        """ring_hamiltonian(phi) at each of a stack of fluxes, shaped (T, ds, ds):
+        the drive_coefficients at zero rate, one row per flux."""
+        angle = 2 * np.pi * np.asarray(fluxes, dtype=float)
+        coefficients = np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle),
+                                 np.zeros_like(angle)], axis=-1)
+        pieces = self._ring_pieces
+        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(-1, *pieces.shape[1:])
 
     def ring_eigenbasis(self, phi_x: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues/vectors of the truncated ring Hamiltonian at phi_x."""

@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig, apply_overrides, parse_config, read_
 from .dynamics import IntegrationError, QuantumState, evolve_tdse
 from .experiments import default_model, resolve_t0, run_dissipative, run_ramp, run_sweep
 from .linalg import PositivityError, is_hermitian
-from .observables import TimeSeriesRecord, labeled_basis
+from .observables import RECORD_COLUMNS, labeled_basis
 
 NUMERIC_FMT = ".15g"
 
@@ -47,8 +47,9 @@ def _write_rows(path: Path, columns, rows, fmt: str) -> None:
                 fh.write(json.dumps(dict(zip(columns, row))) + "\n")
 
 
-def _write_ramp(path: Path, records: list[TimeSeriesRecord], fmt: str) -> None:
-    _write_rows(path, TimeSeriesRecord.COLUMNS, [r.row() for r in records], fmt)
+def _write_ramp(path: Path, records: dict, fmt: str) -> None:
+    rows = zip(*(records[c].tolist() for c in RECORD_COLUMNS))  # plain Python floats
+    _write_rows(path, RECORD_COLUMNS, rows, fmt)
 
 
 def _model_from_config(cfg: RunConfig):
@@ -69,7 +70,7 @@ def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]
     result = run_ramp(cfg.ramp, model, cfg.integrator, sample_dt=cfg.output.sample_dt)
     suffix = "csv" if fmt == "csv" else "jsonl"
     _write_ramp(out / f"ramp.{suffix}", result.records, fmt)
-    lines = ["ramp run", f"  samples: {len(result.records)}"]
+    lines = ["ramp run", f"  samples: {len(result.records['t'])}"]
     lines += [f"  plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
     return cfg, lines
 

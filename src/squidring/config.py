@@ -6,8 +6,11 @@ to the defaults that reproduce the reference setup, so `{}` is a valid config.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .circuit import CircuitParams
 from .dynamics import SAMPLE_DT, IntegratorConfig
@@ -75,6 +78,27 @@ _BLOCKS = {
 }
 
 
+def _numeric(annotation) -> bool:
+    """Whether a field annotation admits an int or float (also inside | None or tuple[...])."""
+    return annotation in (int, float) or any(_numeric(a) for a in get_args(annotation))
+
+
+def _check_numbers(cls, block: str, data: dict) -> None:
+    """Every value of a numeric field, and every element of a list there, must be a
+    finite real number; NaN, +-Infinity and bools are rejected. None is left to the
+    block, which accepts it where it means a default."""
+    annotations = get_type_hints(cls)
+    for key, value in data.items():
+        if value is None or not _numeric(annotations[key]):
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if (isinstance(item, bool) or not isinstance(item, numbers.Real)
+                    or not math.isfinite(item)):
+                what = "finite numbers" if isinstance(value, list) else "a finite number"
+                raise ConfigError(f"invalid value in {block!r}: {block}.{key} must be "
+                                  f"{what}, got {value!r}")
+
+
 def _build(cls, block: str, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"config block {block!r} must be an object")
@@ -84,6 +108,7 @@ def _build(cls, block: str, data: dict):
         raise ConfigError(
             f"unknown key(s) in {block!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
+    _check_numbers(cls, block, data)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

@@ -123,28 +123,29 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
+    """Sampled states in one array: data[k] is psi (data shaped (T, d)) or rho
+    (data shaped (T, d, d)) at times[k]."""
+
     times: np.ndarray
-    states: list[QuantumState]
+    dims: tuple[int, int]
+    data: np.ndarray
     max_norm_drift: float = 0.0
     max_trace_drift: float = 0.0
     min_eigenvalue: float = 0.0
 
-    def __iter__(self):
-        return iter(self.states)
+    @property
+    def is_pure(self) -> bool:
+        return self.data.ndim == 2
 
 
-def _knots(t_start: float, t_end: float, sample_dt, sample_times, breakpoints):
+def _knots(t_start: float, t_end: float, sample_dt: float, breakpoints):
     """Sorted integration knots = sample grid plus drive breakpoints."""
-    if sample_times is None:
-        n = max(1, int(round((t_end - t_start) / sample_dt)))
-        sample_times = np.linspace(t_start, t_end, n + 1)
-    samples = np.asarray(sample_times, dtype=float)
-    if samples[0] != t_start or samples[-1] != t_end:
-        raise ValueError("sample_times must start at t_start and end at t_end")
+    n = max(1, int(round((t_end - t_start) / sample_dt)))
+    samples = np.linspace(t_start, t_end, n + 1)
     extra = [b for b in breakpoints if t_start < b < t_end]
     knots = np.unique(np.concatenate([samples, np.asarray(extra)]))
     sample_set = set(np.round(samples, 12))
-    flags = [round(k, 12) in sample_set for k in knots]
+    flags = np.array([round(k, 12) in sample_set for k in knots])
     return knots, flags
 
 
@@ -221,8 +222,8 @@ def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, breakpoints):
-    """Integrate dy/dt = G(t) y from state.t, with G built by `eq` from
+def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
+    """Integrate dy/dt = G(t) y from t_start, with G built by `eq` from
     K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
 
     Knots are the sample grid plus the drive breakpoints; the integrator never
@@ -231,13 +232,12 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
     on output). Constant-H intervals apply the RK4 step map to the power n,
     cached for the last (H, n, span); others take RK4 steps, each reusing the
     K of the previous step's end.
-    Returns (times, sampled states, max drift, min eigenvalue).
+    Each sample is written into one preallocated array.
+    Returns (times, samples, max drift, min eigenvalue).
     """
     cfg = config or IntegratorConfig()
-    if breakpoints is None:
-        breakpoints = getattr(hamiltonian, "breakpoints", ())
-    t_start = state.t
-    knots, is_sample = _knots(t_start, t_end, sample_dt, sample_times, breakpoints)
+    breakpoints = getattr(hamiltonian, "breakpoints", ())
+    knots, is_sample = _knots(t_start, t_end, sample_dt, breakpoints)
     static_on = getattr(hamiltonian, "static_on", lambda a, b: False)
     dim = y.shape[0]
     eye = np.eye(dim)
@@ -246,7 +246,9 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
         return -1j * hamiltonian(t)
 
     phase, max_drift, min_eig = 0.0, 0.0, 1.0
-    out_t, out_states = [t_start], [QuantumState(y, state.dims, t_start)]
+    out = np.empty((np.count_nonzero(is_sample),) + y.shape, dtype=complex)
+    out[0] = y
+    emitted = 1
     cached_key, step_map = None, None
 
     for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
@@ -299,10 +301,10 @@ def _evolve(eq, state, y, hamiltonian, t_end, config, sample_dt, sample_times, b
             min_eig = min(min_eig, w_min)
             if w_min < -POSITIVITY_ABORT:
                 raise PositivityError(f"density matrix eigenvalue {w_min:.3e} at t = {b:.3f}")
-            out_t.append(b)
-            out_states.append(QuantumState(eq.emit(y, phase), state.dims, b))
+            out[emitted] = eq.emit(y, phase)
+            emitted += 1
 
-    return np.asarray(out_t), out_states, max_drift, min_eig
+    return knots[is_sample], out, max_drift, min_eig
 
 
 def evolve_tdse(
@@ -311,8 +313,6 @@ def evolve_tdse(
     t_end: float,
     config: IntegratorConfig | None = None,
     sample_dt: float = SAMPLE_DT,
-    sample_times=None,
-    breakpoints=None,
 ) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi from state.t to t_end.
 
@@ -323,9 +323,9 @@ def evolve_tdse(
     if not state.is_pure:
         raise ValueError("evolve_tdse expects a pure state")
     psi = state.data.astype(complex)
-    times, states, drift, _ = _evolve(_Schrodinger(len(psi)), state, psi, hamiltonian, t_end,
-                                      config, sample_dt, sample_times, breakpoints)
-    return Trajectory(times, states, max_norm_drift=drift)
+    times, data, drift, _ = _evolve(_Schrodinger(len(psi)), state.t, psi, hamiltonian, t_end,
+                                    config, sample_dt)
+    return Trajectory(times, state.dims, data, max_norm_drift=drift)
 
 
 def _collapse_set(baths: BathParams, a_e: np.ndarray, a_s: np.ndarray):
@@ -348,8 +348,6 @@ def evolve_lindblad(
     t_end: float,
     config: IntegratorConfig | None = None,
     sample_dt: float = SAMPLE_DT,
-    sample_times=None,
-    breakpoints=None,
 ) -> Trajectory:
     """Integrate the two-bath thermal master equation
 
@@ -363,6 +361,6 @@ def evolve_lindblad(
     """
     rho = state.density().astype(complex)
     eq = _Master(_collapse_set(baths, *collapse_ops), len(rho))
-    times, states, drift, min_eig = _evolve(eq, state, rho, hamiltonian, t_end,
-                                            config, sample_dt, sample_times, breakpoints)
-    return Trajectory(times, states, max_trace_drift=drift, min_eigenvalue=min_eig)
+    times, data, drift, min_eig = _evolve(eq, state.t, rho, hamiltonian, t_end,
+                                          config, sample_dt)
+    return Trajectory(times, state.dims, data, max_trace_drift=drift, min_eigenvalue=min_eig)

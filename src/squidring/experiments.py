@@ -34,12 +34,15 @@ from .dynamics import (
     evolve_tdse,
 )
 from .observables import (
-    TimeSeriesRecord,
     closed_form_time_average,
     labeled_basis,
-    record_from_state,
+    record_columns,
     time_averaged_energy,  # noqa: F401  perfbench/tracer.py wraps it in this module
 )
+
+# perfbench/tracer.py times the records layer under this name (ROADMAP item 5),
+# so run_ramp calls the batched records pass through it
+record_from_state = record_columns
 
 DIP_THRESHOLD = 0.1  # hbar*omega_s; below this a minimum is off-resonant ripple
 
@@ -153,7 +156,7 @@ class SweepResult:
 
 @dataclass
 class RampResult:
-    records: list[TimeSeriesRecord]
+    records: dict[str, np.ndarray]      # observables.RECORD_COLUMNS, one array each
     plateau: dict
     trajectory: Trajectory
 
@@ -417,16 +420,15 @@ def find_crossing_time(model: TruncatedModel, flux: float, t_max: float,
     return float(ts[k] - diff[k] * dt / (diff[k + 1] - diff[k]))
 
 
-def _plateau_stats(records: list[TimeSeriesRecord]) -> dict:
-    t_end = records[-1].t
-    t_start = records[0].t
-    window = [r for r in records if r.t >= t_start + 2 * (t_end - t_start) / 3]
+def _plateau_stats(records: dict[str, np.ndarray]) -> dict:
+    t = records["t"]
+    window = t >= t[0] + 2 * (t[-1] - t[0]) / 3
     stats = {}
     for name in ("P_10", "P_01", "ent_mag", "purity", "fidelity"):
-        vals = np.array([getattr(r, name) for r in window])
+        vals = records[name][window]
         stats[f"{name}_mean"] = float(vals.mean())
         stats[f"{name}_drift"] = float(vals.max() - vals.min())
-    stats["window_start"] = float(window[0].t)
+    stats["window_start"] = float(t[window][0])
     return stats
 
 
@@ -474,19 +476,7 @@ def run_ramp(
             state0, ham, t_end, config=integrator, sample_dt=sample_dt
         )
 
-    basis_b = labeled_basis(model, drive.B)
-    records = []
-    for st in traj.states:
-        if cfg.label_mode == "frozen":
-            basis = basis_a
-        elif st.t <= drive.t0:
-            basis = basis_a
-        elif st.t >= drive.t0 + drive.tr:
-            basis = basis_b
-        else:
-            basis = labeled_basis(model, drive.value(st.t))
-        records.append(record_from_state(st, model, basis, drive.value(st.t)))
-
+    records = record_from_state(traj, model, drive, cfg.label_mode)
     return RampResult(records=records, plateau=_plateau_stats(records), trajectory=traj)
 
 
@@ -503,8 +493,8 @@ def run_dissipative(
     for gamma in bath.gammas:
         baths = BathParams(gamma_e=gamma, gamma_s=gamma, Tb=bath.Tb, omega_b=bath.omega_b)
         result = run_ramp(cfg, model, integrator, sample_dt=sample_dt, baths=baths)
-        ramp_end = cfg.t0 + cfg.tr
-        below = [r.t for r in result.records if r.t > ramp_end and r.ent_mag < 0.5]
-        result.plateau["t_ent_below_half"] = below[0] if below else None
+        t, ent_mag = result.records["t"], result.records["ent_mag"]
+        below = t[(t > cfg.t0 + cfg.tr) & (ent_mag < 0.5)]
+        result.plateau["t_ent_below_half"] = float(below[0]) if below.size else None
         out[gamma] = result
     return out

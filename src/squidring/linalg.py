@@ -3,7 +3,8 @@
 Everything here operates on plain numpy arrays (complex, square). Density
 matrices and Hamiltonians share the same currency; helpers below check the
 flags (Hermitian / positive) that the rest of the package relies on.
-Entropies are in nats.
+`hermitize`, `partial_trace`, `density_eigenvalues` and `vn_entropy` also take
+stacks of matrices (shape (..., n, n)) and act on each. Entropies are in nats.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ class PositivityError(ValueError):
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a†)/2."""
-    return (a + a.conj().T) / 2
+    return (a + a.conj().mT) / 2
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -42,15 +43,15 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     package convention dims = (de, ds) and keep=0 returns the field state.
     """
     d0, d1 = dims
-    if rho.shape != (d0 * d1, d0 * d1):
+    if rho.shape[-2:] != (d0 * d1, d0 * d1):
         raise ValueError(
             f"partial_trace: operator is {rho.shape}, expected {(d0 * d1, d0 * d1)}"
         )
-    r = rho.reshape(d0, d1, d0, d1)
+    r = rho.reshape(rho.shape[:-2] + (d0, d1, d0, d1))
     if keep == 0:
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep == 1:
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError(f"keep must be 0 or 1, got {keep!r}")
 
 
@@ -65,8 +66,9 @@ def density_eigenvalues(rho: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def vn_entropy(rho: np.ndarray) -> float:
-    """von Neumann entropy -Tr(rho ln rho) in nats, with 0 ln 0 := 0."""
+def vn_entropy(rho: np.ndarray):
+    """von Neumann entropy -Tr(rho ln rho) in nats, with 0 ln 0 := 0; one value
+    per matrix of a stack."""
     w = density_eigenvalues(rho)
-    w = w[w > EIG_ZERO]
-    return float(-np.sum(w * np.log(w)))
+    kept = w > EIG_ZERO
+    return -np.sum(w * np.log(w, where=kept, out=np.zeros_like(w)), axis=-1)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import TruncatedModel, build_he
-from .dynamics import QuantumState
+from .circuit import FluxDrive, TruncatedModel
+from .dynamics import QuantumState, Trajectory
 from .linalg import partial_trace, vn_entropy
 
 
@@ -50,22 +50,6 @@ def basis_probabilities(state: QuantumState, basis: LabeledBasis) -> np.ndarray:
             "ik,ij,jk->k", basis.matrix.conj(), state.data, basis.matrix
         ).real
     return p.reshape(de, ds)
-
-
-def component_energy(
-    state: QuantumState, which: str, model: TruncatedModel, phi_x: float
-) -> float:
-    """<H_e> or <H_s> (hbar*omega_s units) at the evaluation flux, no drive term."""
-    ie, isr = np.eye(model.de), np.eye(model.ds)
-    if which == "e":
-        op = np.kron(build_he(model.de, model.groups), isr)
-    elif which == "s":
-        op = np.kron(ie, model.ring_hamiltonian(phi_x))
-    else:
-        raise ValueError(f"which must be 'e' or 's', got {which!r}")
-    if state.is_pure:
-        return float((state.data.conj() @ op @ state.data).real)
-    return float(np.trace(op @ state.data).real)
 
 
 def time_averaged_energy(times: np.ndarray, values: np.ndarray,
@@ -151,42 +135,84 @@ def bell_fidelity(state: QuantumState, basis: LabeledBasis) -> float:
     return float(0.5 * (r[i10, i10].real + r[i01, i01].real) + abs(r[i10, i01]))
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
-    """One output sample of a ramp / dissipative run (energies in hbar*omega_s)."""
-
-    t: float
-    P_10: float
-    P_01: float
-    I_e: float
-    I_s: float
-    ent_mag: float
-    E_e: float
-    E_s: float
-    purity: float
-    fidelity: float
-
-    COLUMNS = ("t", "P_10", "P_01", "I_e", "I_s", "ent_mag",
-               "E_e", "E_s", "purity", "fidelity")
-
-    def row(self) -> tuple:
-        return tuple(getattr(self, c) for c in self.COLUMNS)
+RECORD_COLUMNS = ("t", "P_10", "P_01", "I_e", "I_s", "ent_mag",
+                  "E_e", "E_s", "purity", "fidelity")
 
 
-def record_from_state(
-    state: QuantumState, model: TruncatedModel, basis: LabeledBasis, phi_x: float
-) -> TimeSeriesRecord:
-    probs = basis_probabilities(state, basis)
-    i_e, i_s = entanglement_indices(state)
-    return TimeSeriesRecord(
-        t=state.t,
-        P_10=float(probs[1, 0]),
-        P_01=float(probs[0, 1]),
-        I_e=i_e,
-        I_s=i_s,
-        ent_mag=-0.5 * (i_e + i_s),
-        E_e=component_energy(state, "e", model, phi_x),
-        E_s=component_energy(state, "s", model, phi_x),
-        purity=state.purity(),
-        fidelity=bell_fidelity(state, basis),
-    )
+def reduced_states(data: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_e, rho_s) stacks of a state stack, data shaped (T, d) for psi or
+    (T, d, d) for rho. A psi stack is contracted directly, without forming psi psi†."""
+    if data.ndim == 2:
+        psi = data.reshape(-1, *dims)
+        psi_c = psi.conj()
+        return np.einsum("tia,tja->tij", psi, psi_c), np.einsum("tai,taj->tij", psi, psi_c)
+    return partial_trace(data, dims, keep=0), partial_trace(data, dims, keep=1)
+
+
+def component_energy(reduced: np.ndarray, which: str, model: TruncatedModel,
+                     fluxes: np.ndarray | None = None) -> np.ndarray:
+    """<H_e> or <H_s> (hbar*omega_s units, no drive term) of a stack of that
+    component's reduced states; H_s is taken at each sample's flux in `fluxes`."""
+    if which == "e":
+        return np.einsum("ij,tji->t", model.field_h, reduced).real
+    if which == "s":
+        return np.einsum("tij,tji->t", model.ring_hamiltonians(fluxes), reduced).real
+    raise ValueError(f"which must be 'e' or 's', got {which!r}")
+
+
+def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
+                   label_mode: str = "instantaneous") -> dict[str, np.ndarray]:
+    """The output records of a ramp trajectory as columns (RECORD_COLUMNS order).
+
+    Labels |ne, ms> use the ring eigenbasis at A up to t0, at B from t0 + tr on,
+    and at the drive flux inside the ramp window (one stacked eigh); at A
+    throughout with label_mode "frozen". Energies use the drive flux at each
+    sample. A psi stack is never expanded to (T, d, d): its S(rho) is the closed
+    form -n ln n of psi psi†, n = |psi|^2, and its purity is 1.
+    """
+    t, data, (de, ds) = traj.times, traj.data, traj.dims
+    flux = np.array([drive.value(x) for x in t])
+
+    t0, t1 = drive.breakpoints
+    v = np.empty((len(t), ds, ds), dtype=complex)
+    at_a = np.full(len(t), True) if label_mode == "frozen" else t <= t0
+    at_b = ~at_a & (t >= t1)
+    inside = ~(at_a | at_b)
+    v[at_a] = model.ring_eigenbasis(drive.A)[1]
+    v[at_b] = model.ring_eigenbasis(drive.B)[1]
+    v[inside] = np.linalg.eigh(model.ring_hamiltonians(flux[inside]))[1]
+
+    rho_e, rho_s = reduced_states(data, traj.dims)
+    if traj.is_pure:
+        psi = data.reshape(-1, de, ds)
+        a10 = np.abs(np.einsum("ta,ta->t", v[:, :, 0].conj(), psi[:, 1]))  # <1e0s|psi>
+        a01 = np.abs(np.einsum("ta,ta->t", v[:, :, 1].conj(), psi[:, 0]))  # <0e1s|psi>
+        p10, p01 = a10 ** 2, a01 ** 2
+        fidelity = 0.5 * (a10 + a01) ** 2
+        norm = np.einsum("tii->t", rho_e).real
+        s_tot = -norm * np.log(norm)
+        purity = np.ones(len(t))
+    else:
+        # |1e0s> and |0e1s> as the two columns of u, shaped (T, d, 2), summed as
+        # basis_probabilities and bell_fidelity sum them, so a rho stack keeps
+        # every bit of its records; np.hypot is Python's abs() of a complex
+        # scalar, which np.abs on an array can miss in the last bit
+        u = np.zeros((len(t), de, ds, 2), dtype=complex)
+        u[:, 1, :, 0], u[:, 0, :, 1] = v[:, :, 0], v[:, :, 1]
+        u = u.reshape(len(t), de * ds, 2)
+        p10, p01 = np.einsum("tik,tij,tjk->kt", u.conj(), data, u).real
+        r = u.conj().mT @ data @ u
+        fidelity = (0.5 * (r[:, 0, 0].real + r[:, 1, 1].real)
+                    + np.hypot(r[:, 0, 1].real, r[:, 0, 1].imag))
+        s_tot = vn_entropy(data)
+        purity = np.trace(data @ data, axis1=1, axis2=2).real
+
+    i_e = s_tot - vn_entropy(rho_e)
+    i_s = s_tot - vn_entropy(rho_s)
+    return {
+        "t": t, "P_10": p10, "P_01": p01, "I_e": i_e, "I_s": i_s,
+        "ent_mag": -0.5 * (i_e + i_s),
+        "E_e": component_energy(rho_e, "e", model),
+        "E_s": component_energy(rho_s, "s", model, flux),
+        "purity": purity, "fidelity": fidelity,
+    }

@@ -23,7 +23,6 @@ from squidring.circuit import (
     build_total,
     fock_ring_ops,
     ladder,
-    quadratures,
     truncate_to_eigenbasis,
 )
 from squidring.linalg import herm_func, is_hermitian
@@ -45,14 +44,6 @@ def test_ladder_matrix_elements():
     np.testing.assert_allclose(comm[:4, :4], np.eye(4), atol=1e-14)
     with pytest.raises(ValueError):
         ladder(1)
-
-
-def test_quadrature_commutator():
-    p = CircuitParams()
-    phi, q = quadratures(12, p.omega_s, p.Cs)
-    comm = phi @ q - q @ phi
-    np.testing.assert_allclose(comm[:10, :10], 1j * HBAR * np.eye(10),
-                               atol=1e-12 * HBAR)
 
 
 def test_circuit_params_defaults_and_validation():

@@ -13,7 +13,7 @@ import pytest
 
 import squidring
 from squidring.cli import main
-from squidring.observables import TimeSeriesRecord
+from squidring.observables import RECORD_COLUMNS
 
 SHORT_RAMP = [
     "--set", "ramp.t0=30", "--set", "ramp.tr=5", "--set", "ramp.t_end=90",
@@ -52,6 +52,20 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    "integrator.dt=NaN", "integrator.dt=Infinity", "circuit.Cs=NaN", "circuit.Ce=Infinity",
+    "bath.Tb=NaN", "bath.Tb=true", "bath.gammas=[NaN]", "bath.gammas=[1e-5, true]",
+    "sweep.tau=true", "integrator.rtol=NaN", "output.sample_dt=NaN",
+])
+def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, override):
+    """Every numeric config field takes only finite numbers: NaN, +-Infinity and
+    bools are config errors, caught before the output directory is made."""
+    out = tmp_path / "run"
+    assert main(["validate", "--out", str(out), "--set", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", ["ramp.B=null", 'ramp.A="x"', "ramp.A=true",
                                       "ramp.B=NaN", "ramp.tr=true", "ramp.t_end=NaN"])
 def test_non_numeric_ramp_value_exits_2(tmp_path, capsys, override):
@@ -79,7 +93,7 @@ def test_ramp_run_outputs(tmp_path, capsys):
     code = main(["ramp", "--out", str(out)] + SHORT_RAMP)
     assert code == 0
     header, rows = read_csv(out / "ramp.csv")
-    assert tuple(header) == TimeSeriesRecord.COLUMNS
+    assert tuple(header) == RECORD_COLUMNS
     assert len(rows) == 19  # t = 0 .. 90 in steps of 5
     assert float(rows[0][header.index("P_10")]) == pytest.approx(1.0)
     resolved = json.loads((out / "resolved_config.json").read_text())
@@ -102,7 +116,7 @@ def test_ramp_jsonl_format(tmp_path):
     lines = (out / "ramp.jsonl").read_text().splitlines()
     assert len(lines) == 19
     first = json.loads(lines[0])
-    assert set(first) == set(TimeSeriesRecord.COLUMNS)
+    assert set(first) == set(RECORD_COLUMNS)
     assert first["t"] == 0.0
 
 

@@ -97,7 +97,7 @@ def test_tdse_matches_spectral_propagator(method):
     traj = evolve_tdse(state, StaticHamiltonian(h), t,
                        config=IntegratorConfig(method=method), sample_dt=t)
     exact = expm(-1j * h * t) @ psi0
-    assert np.max(np.abs(traj.states[-1].data - exact)) < 1e-6
+    assert np.max(np.abs(traj.data[-1] - exact)) < 1e-6
 
 
 def test_tdse_eigenstate_populations_static(model):
@@ -106,8 +106,8 @@ def test_tdse_eigenstate_populations_static(model):
     w, v = np.linalg.eigh(h)
     state = QuantumState.pure(v[:, 2], (model.de, model.ds))
     traj = evolve_tdse(state, StaticHamiltonian(h), 20.0, sample_dt=5.0)
-    for st in traj.states:
-        assert abs(abs(v[:, 2].conj() @ st.data) - 1.0) < 1e-8
+    for psi in traj.data:
+        assert abs(abs(v[:, 2].conj() @ psi) - 1.0) < 1e-8
 
 
 def test_tdse_norm_drift_budget(model):
@@ -165,7 +165,7 @@ def _both_equations(model, equation, hamiltonian):
 
 def _max_deviation(traj_a, traj_b):
     np.testing.assert_array_equal(traj_a.times, traj_b.times)
-    return max(np.max(np.abs(a.data - b.data)) for a, b in zip(traj_a.states, traj_b.states))
+    return np.max(np.abs(traj_a.data - traj_b.data))
 
 
 @pytest.mark.parametrize("equation", ["tdse", "lindblad"])
@@ -195,9 +195,9 @@ def test_rk4_adaptive_agree_through_ramp(model):
     psi0[model.ds] = 1.0
     state = QuantumState.pure(psi0, (model.de, model.ds))
     a = evolve_tdse(state, ham, 12.0, config=IntegratorConfig(method="rk4"),
-                    sample_dt=12.0).states[-1].data
+                    sample_dt=12.0).data[-1]
     b = evolve_tdse(state, ham, 12.0, config=IntegratorConfig(method="adaptive"),
-                    sample_dt=12.0).states[-1].data
+                    sample_dt=12.0).data[-1]
     assert abs(abs(a.conj() @ b) - 1.0) < 1e-6
 
 
@@ -215,8 +215,8 @@ def test_lindblad_zero_damping_equals_tdse(model, method):
     rho0 = QuantumState.mixed(state.density(), state.dims)
     traj_l = evolve_lindblad(rho0, ham, baths, model.collapse_operators(),
                              40.0, config=cfg, sample_dt=10.0)
-    for su, sl in zip(traj_u.states, traj_l.states):
-        assert np.max(np.abs(su.density() - sl.data)) < 1e-6
+    for psi, rho in zip(traj_u.data, traj_l.data):
+        assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-6
 
 
 def test_lindblad_damped_relaxation_analytic():
@@ -233,9 +233,9 @@ def test_lindblad_damped_relaxation_analytic():
     state = QuantumState.mixed(rho0, (1, d))
     zero = np.zeros_like(a)
     traj = evolve_lindblad(state, h, baths, (a, zero), 30.0, sample_dt=5.0)
-    for st in traj.states[1:]:
-        n_num = np.trace(n_op @ st.data).real
-        n_exact = m + (2.0 - m) * math.exp(-gamma * st.t)
+    for t, rho in zip(traj.times[1:], traj.data[1:]):
+        n_num = np.trace(n_op @ rho).real
+        n_exact = m + (2.0 - m) * math.exp(-gamma * t)
         assert abs(n_num - n_exact) / n_exact < 0.01
 
 
@@ -253,7 +253,7 @@ def test_lindblad_thermal_fixed_point():
     state = QuantumState.mixed(rho0, (1, d))
     traj = evolve_lindblad(state, h, baths, (a, np.zeros_like(a)), 20.0,
                            sample_dt=10.0)
-    assert np.max(np.abs(traj.states[-1].data - rho0)) < 1e-5
+    assert np.max(np.abs(traj.data[-1] - rho0)) < 1e-5
 
 
 def test_lindblad_trace_and_positivity_reported(model):
@@ -266,8 +266,8 @@ def test_lindblad_trace_and_positivity_reported(model):
                            sample_dt=25.0)
     assert traj.max_trace_drift < 1e-9
     assert traj.min_eigenvalue > -1e-10
-    for st in traj.states:
-        assert np.max(np.abs(st.data - st.data.conj().T)) < 1e-12
+    for rho in traj.data:
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
 def test_integration_error_is_runtime_error():

@@ -1,19 +1,23 @@
 """Tests for labeled probabilities, energies, entanglement indices, fidelity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from squidring.dynamics import QuantumState
+from squidring.circuit import FluxDrive
+from squidring.dynamics import QuantumState, Trajectory
+from squidring.experiments import RampConfig
 from squidring.observables import (
-    TimeSeriesRecord,
+    RECORD_COLUMNS,
     basis_probabilities,
     bell_fidelity,
     component_energy,
     entanglement_indices,
     labeled_basis,
-    record_from_state,
+    record_columns,
+    reduced_states,
     time_averaged_energy,
 )
 
@@ -41,13 +45,14 @@ def test_labeled_basis_orthonormal(model, basis):
 def test_basis_states_are_energy_products(model, basis):
     """|ne, ms> is a field Fock state paired with a ring energy eigenstate."""
     w, _ = model.ring_eigenbasis(0.42864)
+    psi = basis.matrix.T  # row ne * ds + ms is |ne, ms>
+    rho_e, rho_s = reduced_states(psi, basis.dims)
+    e_e = component_energy(rho_e, "e", model)
+    e_s = component_energy(rho_s, "s", model, np.full(len(psi), 0.42864))
     for ne in range(model.de):
         for ms in range(model.ds):
-            st_ = QuantumState.pure(basis.state(ne, ms), basis.dims)
-            e_e = component_energy(st_, "e", model, 0.42864)
-            e_s = component_energy(st_, "s", model, 0.42864)
-            assert abs(e_e - (ne + 0.5) * model.groups.omega_ratio) < 1e-10
-            assert abs(e_s - w[ms]) < 1e-10
+            assert abs(e_e[basis.index(ne, ms)] - (ne + 0.5) * model.groups.omega_ratio) < 1e-10
+            assert abs(e_s[basis.index(ne, ms)] - w[ms]) < 1e-10
 
 
 def test_basis_probabilities_pure_and_mixed(basis):
@@ -66,9 +71,9 @@ def test_basis_probabilities_dimension_check(basis):
 
 
 def test_component_energy_rejects_unknown_component(model, basis):
-    st_ = bell_state(basis)
+    rho_e, _ = reduced_states(bell_state(basis).data[None], basis.dims)
     with pytest.raises(ValueError):
-        component_energy(st_, "x", model, 0.42864)
+        component_energy(rho_e, "x", model, np.array([0.42864]))
 
 
 def test_time_averaged_energy():
@@ -132,14 +137,30 @@ def test_bell_fidelity_product_state(basis):
     assert abs(bell_fidelity(st_, basis) - 0.5) < 1e-12
 
 
-def test_record_from_state(model, basis):
+def test_record_columns_of_bell_state(model, basis):
     st_ = bell_state(basis)
-    rec = record_from_state(st_, model, basis, 0.42864)
-    assert rec.t == 0.0
-    assert abs(rec.P_10 - 0.5) < 1e-12 and abs(rec.P_01 - 0.5) < 1e-12
-    assert abs(rec.ent_mag - LN2) < 1e-10
-    assert abs(rec.ent_mag + 0.5 * (rec.I_e + rec.I_s)) < 1e-14
-    assert rec.purity == 1.0
-    assert abs(rec.fidelity - 1.0) < 1e-12
-    assert rec.row() == tuple(getattr(rec, c) for c in TimeSeriesRecord.COLUMNS)
-    assert TimeSeriesRecord.COLUMNS[0] == "t"
+    traj = Trajectory(np.array([0.0]), basis.dims, st_.data[None])
+    rec = record_columns(traj, model, FluxDrive(A=0.42864))
+    assert tuple(rec) == RECORD_COLUMNS
+    assert all(col.shape == (1,) for col in rec.values())
+    assert rec["t"][0] == 0.0
+    assert abs(rec["P_10"][0] - 0.5) < 1e-12 and abs(rec["P_01"][0] - 0.5) < 1e-12
+    assert abs(rec["ent_mag"][0] - LN2) < 1e-10
+    assert abs(rec["ent_mag"][0] + 0.5 * (rec["I_e"][0] + rec["I_s"][0])) < 1e-14
+    assert rec["purity"][0] == 1.0
+    assert abs(rec["fidelity"][0] - 1.0) < 1e-12
+    assert RECORD_COLUMNS[0] == "t"
+
+
+def test_pure_records_pass_never_forms_a_density_stack(model, ramp_result):
+    """The batched pass over the default ramp's psi stack peaks below the size of
+    one (T, d, d) complex array, so it never expands psi to psi psi†."""
+    traj, cfg = ramp_result.trajectory, RampConfig()
+    tracemalloc.start()
+    try:
+        record_columns(traj, model, cfg.drive, cfg.label_mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t, d = traj.data.shape
+    assert peak < t * d * d * np.dtype(complex).itemsize

@@ -1,6 +1,8 @@
 """Property tests over random small systems: the shared integrator core, the
-closed-form static time average and the twin symmetry of the static sweep."""
+closed-form static time average, the batched records pass and the twin symmetry
+of the static sweep and of the flux ramp."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from squidring.circuit import HBAR, KB, CircuitParams, StaticHamiltonian, ladder
-from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
-from squidring.experiments import _static_averages
-from squidring.linalg import hermitize
-from squidring.observables import closed_form_time_average, time_averaged_energy
+from squidring.circuit import HBAR, KB, CircuitParams, FluxDrive, StaticHamiltonian, ladder
+from squidring.dynamics import (
+    BathParams,
+    QuantumState,
+    Trajectory,
+    evolve_lindblad,
+    evolve_tdse,
+)
+from squidring.experiments import RampConfig, _static_averages, default_model, run_ramp
+from squidring.linalg import PositivityError, hermitize
+from squidring.observables import (
+    RECORD_COLUMNS,
+    basis_probabilities,
+    bell_fidelity,
+    closed_form_time_average,
+    entanglement_indices,
+    labeled_basis,
+    record_columns,
+    time_averaged_energy,
+)
 
 T_END = 2.0
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
@@ -61,8 +78,8 @@ def test_undamped_master_equation_is_tdse(system, static):
     pure = evolve_tdse(state, ham, T_END, sample_dt=0.5)
     mixed = evolve_lindblad(QuantumState.mixed(state.density(), state.dims), ham, off,
                             (ladder(d), np.zeros((d, d))), T_END, sample_dt=0.5)
-    for u, r in zip(pure.states, mixed.states):
-        assert np.max(np.abs(u.density() - r.data)) < 1e-6
+    for psi, rho in zip(pure.data, mixed.data):
+        assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-6
 
 
 @PROPERTY_SETTINGS
@@ -71,8 +88,8 @@ def test_static_tdse_is_matrix_exponential(system):
     h, psi0, _ = system
     traj = evolve_tdse(QuantumState.pure(psi0, (1, len(psi0))), StaticHamiltonian(h),
                        T_END, sample_dt=0.5)
-    for sample in traj.states:
-        assert np.max(np.abs(sample.data - expm(-1j * h * sample.t) @ psi0)) < 1e-6
+    for t, psi in zip(traj.times, traj.data):
+        assert np.max(np.abs(psi - expm(-1j * h * t) @ psi0)) < 1e-6
 
 
 @st.composite
@@ -133,3 +150,80 @@ def test_static_averages_twin_symmetry(phi, mu_es):
     right = _static_averages(params, 1.0 - phi, **grid)
     assert abs(left[0] - right[0]) < 1e-10
     assert abs(left[1] - right[1]) < 1e-10
+
+
+@st.composite
+def state_stacks(draw):
+    """(trajectory, drive, label_mode): up to 8 random pure or mixed states of the
+    4 x 4 product space, |psi|^2 within 1e-6 of 1, at times before, inside and
+    after a random flux ramp, so the labeling fluxes are random too."""
+    drive = FluxDrive(A=draw(st.floats(0.3, 0.7)), B=draw(st.floats(0.3, 0.7)),
+                      t0=draw(st.floats(1.0, 5.0)), tr=draw(st.floats(0.5, 3.0)))
+    n = draw(st.integers(1, 8))
+    times = np.sort(draw(arrays(float, n, elements=st.floats(0.0, drive.t0 + drive.tr + 2.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, 16, 16)) + 1j * rng.normal(size=(n, 16, 16))
+    if draw(st.booleans()):
+        psi = g[:, :, 0] / np.linalg.norm(g[:, :, 0], axis=1, keepdims=True)
+        norm2 = 1.0 + draw(arrays(float, n, elements=st.floats(-1e-6, 1e-6)))
+        data = psi * np.sqrt(norm2)[:, None]
+    else:
+        g = g[:, :, :draw(st.integers(1, 16))]  # rank 1 to 16
+        data = g @ g.conj().mT
+        data /= np.trace(data, axis1=1, axis2=2)[:, None, None]
+    label_mode = draw(st.sampled_from(["instantaneous", "frozen"]))
+    return Trajectory(times, (4, 4), data), drive, label_mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(state_stacks())
+def test_record_columns_are_the_per_state_definitions(model, stack):
+    """Every column of the batched records pass equals the per-state definition
+    of its sample within 1e-12."""
+    traj, drive, label_mode = stack
+    rec = record_columns(traj, model, drive, label_mode)
+    he = np.kron(model.field_h, np.eye(4))
+    for k, t in enumerate(traj.times):
+        state = QuantumState(traj.data[k], traj.dims, t)
+        if label_mode == "frozen" or t <= drive.t0:
+            label_flux = drive.A
+        elif t >= drive.t0 + drive.tr:
+            label_flux = drive.B
+        else:
+            label_flux = drive.value(t)
+        basis = labeled_basis(model, label_flux)
+        probs = basis_probabilities(state, basis)
+        i_e, i_s = entanglement_indices(state)
+        hs = np.kron(np.eye(4), model.ring_hamiltonian(drive.value(t)))
+        if state.is_pure:
+            e_e, e_s = ((state.data.conj() @ op @ state.data).real for op in (he, hs))
+        else:
+            e_e, e_s = (np.trace(op @ state.data).real for op in (he, hs))
+        want = {"t": t, "P_10": probs[1, 0], "P_01": probs[0, 1], "I_e": i_e, "I_s": i_s,
+                "ent_mag": -0.5 * (i_e + i_s), "E_e": e_e, "E_s": e_s,
+                "purity": state.purity(), "fidelity": bell_fidelity(state, basis)}
+        for name in RECORD_COLUMNS:
+            assert abs(rec[name][k] - want[name]) < 1e-12, (name, k)
+
+
+def test_record_columns_reject_a_negative_density_matrix(model):
+    """A mixed stack with one eigenvalue below -1e-8 raises PositivityError."""
+    u, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(16, 16)) + 0j)
+    good = u @ np.diag(np.full(16, 1 / 16)) @ u.conj().T
+    bad = u @ np.diag(np.r_[1.0 + 2e-8, -2e-8, np.zeros(14)]) @ u.conj().T
+    traj = Trajectory(np.array([0.0, 1.0, 2.0]), (4, 4), np.array([good, bad, good]))
+    with pytest.raises(PositivityError):
+        record_columns(traj, model, FluxDrive())
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.floats(2.0, 8.0), st.floats(0.37, 0.40))
+def test_ramp_twin_symmetry(t0, b):
+    """The ramp from A to B and its mirror from 1 - A to 1 - B, each with the ring
+    truncated at its start flux, give the same records."""
+    cfg = RampConfig(B=b, t0=t0, t_end=t0 + RampConfig.tr + 2.0)
+    mirror = replace(cfg, A=1.0 - cfg.A, B=1.0 - cfg.B)
+    left = run_ramp(cfg, default_model(ref_flux=cfg.A)).records
+    right = run_ramp(mirror, default_model(ref_flux=mirror.A)).records
+    for name in RECORD_COLUMNS:
+        assert np.max(np.abs(left[name] - right[name])) < 1e-10, name
