@@ -204,8 +204,12 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
         r = u.conj().mT @ data @ u
         fidelity = (0.5 * (r[:, 0, 0].real + r[:, 1, 1].real)
                     + np.hypot(r[:, 0, 1].real, r[:, 0, 1].imag))
-        s_tot = vn_entropy(data)
-        purity = np.trace(data @ data, axis1=1, axis2=2).real
+        # S(rho) and Tr rho^2 block by block, so that their (block, d, d)
+        # temporaries stay small next to the stack itself
+        blocks = np.array_split(data, -(-len(t) // 256))
+        s_tot = np.concatenate([vn_entropy(block) for block in blocks])
+        purity = np.concatenate([np.trace(block @ block, axis1=1, axis2=2).real
+                                 for block in blocks])
 
     i_e = s_tot - vn_entropy(rho_e)
     i_s = s_tot - vn_entropy(rho_s)

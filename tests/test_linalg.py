@@ -115,6 +115,22 @@ def test_density_eigenvalues_positivity_guard():
         density_eigenvalues(np.diag([1.1, -0.1]))
 
 
+def test_stacks_act_per_matrix():
+    """On a (k, n, n) stack each function returns its per-matrix results."""
+    stack = []
+    for seed in range(3):
+        g = random_hermitian(6, seed) + 1j * random_hermitian(6, seed + 10)
+        rho = g @ g.conj().T
+        stack.append(rho / np.trace(rho).real)
+    stack = np.array(stack)
+    for f in (hermitize, density_eigenvalues, vn_entropy,
+              lambda r: partial_trace(r, (2, 3), 0), lambda r: partial_trace(r, (2, 3), 1)):
+        np.testing.assert_array_equal(f(stack), np.array([f(r) for r in stack]))
+    stack[1] = np.diag([1.1, -0.1, 0, 0, 0, 0])
+    with pytest.raises(PositivityError):
+        vn_entropy(stack)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(2, 5))
 def test_schmidt_entropy_symmetry(seed, d0, d1):
