@@ -40,7 +40,7 @@ from .observables import (
     time_averaged_energy,  # noqa: F401  perfbench/tracer.py wraps it in this module
 )
 
-# perfbench/tracer.py times the records layer under this name (ROADMAP item 5),
+# perfbench/tracer.py times the records layer under this name,
 # so run_ramp calls the batched records pass through it
 record_from_state = record_columns
 
