@@ -180,10 +180,11 @@ def ladder(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class RingOperators:
     """Ring operators in some basis, all dimensionless (hbar*omega_s units).
+    Each field is one matrix, or a stack of them shaped (..., dim, dim).
 
     harmonic : a†a + 1/2 (the LC part of Hs)
     cos_phi / sin_phi : cos / sin of the flux angle lambda_s (a + a†)
-    flux : a + a†        charge : i (a† - a)        a : bare LC ladder operator
+    flux : a + a†        charge : i (a† - a)        (a : bare LC ladder operator)
     """
 
     harmonic: np.ndarray
@@ -191,23 +192,12 @@ class RingOperators:
     sin_phi: np.ndarray
     flux: np.ndarray
     charge: np.ndarray
-    a: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.harmonic.shape[0]
 
     def transformed(self, t: np.ndarray) -> "RingOperators":
-        """Project every operator with a (dim x k) isometry of basis columns."""
-        td = t.conj().T
-        return RingOperators(
-            harmonic=hermitize(td @ self.harmonic @ t),
-            cos_phi=hermitize(td @ self.cos_phi @ t),
-            sin_phi=hermitize(td @ self.sin_phi @ t),
-            flux=hermitize(td @ self.flux @ t),
-            charge=hermitize(td @ self.charge @ t),
-            a=td @ self.a @ t,
-        )
+        """Project every operator with a (..., dim, k) isometry of basis columns;
+        a stack of isometries gives a stack of projected operators."""
+        td = t.mT.conj()
+        return RingOperators(**{name: hermitize(td @ op @ t) for name, op in vars(self).items()})
 
 
 @lru_cache(maxsize=8)
@@ -225,32 +215,38 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
         sin_phi=herm_func(lambda_s * x, np.sin),
         flux=x,
         charge=1j * (a.conj().T - a),
-        a=a,
     )
     for op in vars(ops).values():
         op.flags.writeable = False
     return ops
 
 
-def drive_coefficients(phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
+def drive_coefficients(phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.ndarray:
     """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
-    sin(2 pi phi_x), phi_rate."""
-    return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
-                     phi_rate])
+    sin(2 pi phi_x), phi_rate; for an array of fluxes, one row of them per flux."""
+    if np.ndim(phi_x) == 0:
+        return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
+                         phi_rate])
+    angle = 2 * np.pi * np.asarray(phi_x, dtype=float)
+    return np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle),
+                     np.full_like(angle, phi_rate)], axis=-1)
 
 
 def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
-    """sum_k coefficients[k] * pieces[k] for a stack of square matrices."""
-    return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
+    """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
+    coefficients, from pieces (4, n, n) shared by every row or stacked per row."""
+    flat = pieces.reshape(*pieces.shape[:-2], -1)
+    return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
+        *coefficients.shape[:-1], *pieces.shape[-2:])
 
 
 def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
-    """The ring Hamiltonian's flux-independent pieces, stacked as (4, dim, dim):
+    """The ring Hamiltonian's flux-independent pieces, stacked as (..., 4, dim, dim):
     harmonic, -nu cos_phi, nu sin_phi, -drive_scale charge. The cosine of the
     shifted flux is expanded so that the operator-valued trig functions are the
     precomputed cos_phi/sin_phi."""
     return np.stack([ops.harmonic, -groups.nu_tilde * ops.cos_phi,
-                     groups.nu_tilde * ops.sin_phi, -groups.drive_scale * ops.charge])
+                     groups.nu_tilde * ops.sin_phi, -groups.drive_scale * ops.charge], axis=-3)
 
 
 def build_hs(ops: RingOperators, groups: DimensionlessGroups,
@@ -294,18 +290,11 @@ class TruncatedModel:
     def _ring_pieces(self) -> np.ndarray:
         return ring_pieces(self.ring, self.groups)
 
-    def ring_hamiltonian(self, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-        """build_hs on the truncated ring, from pieces built once per model."""
+    def ring_hamiltonian(self, phi_x: float | np.ndarray,
+                         phi_rate: float = 0.0) -> np.ndarray:
+        """build_hs on the truncated ring, from pieces built once per model; an
+        array of fluxes gives a stack, one Hamiltonian per flux."""
         return _combine(drive_coefficients(phi_x, phi_rate), self._ring_pieces)
-
-    def ring_hamiltonians(self, fluxes: np.ndarray) -> np.ndarray:
-        """ring_hamiltonian(phi) at each of a stack of fluxes, shaped (T, ds, ds):
-        the drive_coefficients at zero rate, one row per flux."""
-        angle = 2 * np.pi * np.asarray(fluxes, dtype=float)
-        coefficients = np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle),
-                                 np.zeros_like(angle)], axis=-1)
-        pieces = self._ring_pieces
-        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(-1, *pieces.shape[1:])
 
     def ring_eigenbasis(self, phi_x: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues/vectors of the truncated ring Hamiltonian at phi_x."""
@@ -313,9 +302,10 @@ class TruncatedModel:
 
     def collapse_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """Bare LC ladder operators on the product space: (a_e, a_s)."""
+        t = self.ring_transform
         return (
             np.kron(self.field_a, np.eye(self.ds)),
-            np.kron(np.eye(self.de), self.ring.a),
+            np.kron(np.eye(self.de), t.conj().T @ ladder(self.pre_dim) @ t),
         )
 
 
@@ -361,24 +351,29 @@ def truncate_to_eigenbasis(
     )
 
 
-def drive_terms(model: TruncatedModel) -> np.ndarray:
-    """The total Hamiltonian's flux-independent pieces, stacked as (4, dim, dim),
-    so that H = drive_coefficients(phi_x, phi_rate) @ pieces: the ring_pieces on
-    the product space, with He - Hes added to piece 0."""
-    g, r = model.groups, model.ring
-    ie = np.eye(model.de)
-    xe = model.field_a + model.field_a.conj().T
+def drive_terms(ring: RingOperators, groups: DimensionlessGroups, de: int) -> np.ndarray:
+    """The total Hamiltonian's flux-independent pieces, stacked as (..., 4, dim, dim),
+    so that H = _combine(drive_coefficients(phi_x, phi_rate), pieces): the
+    ring_pieces on the product space of `de` field levels and the ring in the
+    basis of `ring`, with He - Hes added to piece 0. A stack of ring operators
+    gives one stack of pieces per entry."""
+    a = ladder(de)
+    ie = np.eye(de)
     # every piece is a field (x) ring product; the last two are folded into piece 0
-    field = np.stack([ie, ie, ie, ie, model.field_h, xe])
-    ring = np.concatenate([model._ring_pieces, [np.eye(model.ds), -g.kappa * r.flux]])
-    p = np.einsum("kij,kab->kiajb", field, ring).reshape(len(ring), model.dim, model.dim)
-    p[0] += p[4] + p[5]
-    return p[:4]
+    field = np.stack([ie, ie, ie, ie, build_he(de, groups), a + a.conj().T])
+    eye_s = np.broadcast_to(np.eye(ring.flux.shape[-1]), ring.flux.shape)
+    rings = np.concatenate([ring_pieces(ring, groups),
+                            np.stack([eye_s, -groups.kappa * ring.flux], axis=-3)], axis=-3)
+    dim = de * rings.shape[-1]
+    p = np.einsum("kij,...kab->...kiajb", field, rings).reshape(*rings.shape[:-2], dim, dim)
+    p[..., 0, :, :] += p[..., 4, :, :] + p[..., 5, :, :]
+    return p[..., :4, :, :]
 
 
 def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
     """Total H = He + Hs - Hes on the product space, hbar*omega_s units."""
-    return _combine(drive_coefficients(phi_x, phi_rate), drive_terms(model))
+    return _combine(drive_coefficients(phi_x, phi_rate),
+                    drive_terms(model.ring, model.groups, model.de))
 
 
 class RampHamiltonian:
@@ -391,7 +386,7 @@ class RampHamiltonian:
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.model = model
         self.drive = drive
-        self._pieces = drive_terms(model)
+        self._pieces = drive_terms(model.ring, model.groups, model.de)
 
     @property
     def dim(self) -> int:

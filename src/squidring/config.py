@@ -78,25 +78,38 @@ _BLOCKS = {
 }
 
 
-def _numeric(annotation) -> bool:
-    """Whether a field annotation admits an int or float (also inside | None or tuple[...])."""
-    return annotation in (int, float) or any(_numeric(a) for a in get_args(annotation))
+def _admitted(annotation) -> set:
+    """The scalar types a field annotation admits, also inside | None and tuple[...]."""
+    args = get_args(annotation)
+    return set().union(*map(_admitted, args)) if args else {annotation}
 
 
-def _check_numbers(cls, block: str, data: dict) -> None:
-    """Every value of a numeric field, and every element of a list there, must be a
-    finite real number; NaN, +-Infinity and bools are rejected. None is left to the
-    block, which accepts it where it means a default."""
+def _finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _check_types(cls, block: str, data: dict) -> None:
+    """Every value must have its field's type, so that no JSON value reaches a run
+    as a different kind of thing. A numeric field takes finite real numbers only,
+    also element by element in a list: NaN, +-Infinity and bools are rejected. A
+    bool field takes true or false, a string field a string. None passes only
+    where the field admits it, where it means a default."""
     annotations = get_type_hints(cls)
     for key, value in data.items():
-        if value is None or not _numeric(annotations[key]):
+        admitted = _admitted(annotations[key])
+        if value is None and type(None) in admitted:
             continue
-        for item in value if isinstance(value, list) else [value]:
-            if (isinstance(item, bool) or not isinstance(item, numbers.Real)
-                    or not math.isfinite(item)):
-                what = "finite numbers" if isinstance(value, list) else "a finite number"
-                raise ConfigError(f"invalid value in {block!r}: {block}.{key} must be "
-                                  f"{what}, got {value!r}")
+        if admitted & {int, float}:
+            ok = all(map(_finite_number, value if isinstance(value, list) else [value]))
+            what = "finite numbers" if isinstance(value, list) else "a finite number"
+        elif bool in admitted:
+            ok, what = isinstance(value, bool), "true or false"
+        else:  # every other field is a string
+            ok, what = isinstance(value, str), "a string"
+        if not ok:
+            raise ConfigError(f"invalid value in {block!r}: {block}.{key} must be "
+                              f"{what}, got {value!r}")
 
 
 def _build(cls, block: str, data: dict):
@@ -108,7 +121,7 @@ def _build(cls, block: str, data: dict):
         raise ConfigError(
             f"unknown key(s) in {block!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
-    _check_numbers(cls, block, data)
+    _check_types(cls, block, data)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

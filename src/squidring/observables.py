@@ -88,31 +88,36 @@ def _trapezoid_phase_sums(theta: np.ndarray, n: int) -> np.ndarray:
 
 def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
                              amplitudes: np.ndarray,
-                             rel_tol: float = 0.01) -> tuple[float, bool]:
+                             rel_tol: float = 0.01,
+                             ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
     """time_averaged_energy of E(t) = sum_kl amplitudes[k, l] exp(-i (energies[l] -
     energies[k]) t) on the uniform grid `times`, without sampling E(t).
 
     Each exponential's trapezoid sum is a geometric series, so the cost does not
     grow with the number of samples. `amplitudes` is Hermitian (E is real); the
     grid starts at t = 0 and resolves every gap: |energies[l] - energies[k]| *
-    step < 2 pi.
+    step < 2 pi. Stacks broadcast: energies (..., n) and amplitudes (..., n, n)
+    give arrays of averages and flags, and the trapezoid sums are taken once for
+    all amplitudes that share a spectrum.
     """
     times = np.asarray(times, float)
     n = times.size - 1
     if n < 1 or times[0] != 0:
         raise ValueError("need at least two samples, starting at t = 0")
     step = times[-1] / n
-    theta = (energies[None, :] - energies[:, None]) * step
+    theta = (energies[..., None, :] - energies[..., :, None]) * step
 
-    def average(m: int) -> float:  # over times[:m + 1]
-        total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m)).real
-        return float(total * step / times[m])
+    def average(m: int) -> np.ndarray:  # over times[:m + 1]
+        total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m), axis=(-2, -1)).real
+        return total * step / times[m]
 
     avg = average(n)
     k = np.searchsorted(times, times[-1] / 2, side="right")
     avg_half = average(k - 1)
-    scale = max(abs(avg), 1e-30)
-    return avg, bool(abs(avg - avg_half) / scale < rel_tol)
+    converged = np.abs(avg - avg_half) / np.maximum(np.abs(avg), 1e-30) < rel_tol
+    if avg.ndim == 0:
+        return float(avg), bool(converged)
+    return avg, converged
 
 
 def entanglement_indices(state: QuantumState) -> tuple[float, float]:
@@ -156,7 +161,7 @@ def component_energy(reduced: np.ndarray, which: str, model: TruncatedModel,
     if which == "e":
         return np.einsum("ij,tji->t", model.field_h, reduced).real
     if which == "s":
-        return np.einsum("tij,tji->t", model.ring_hamiltonians(fluxes), reduced).real
+        return np.einsum("tij,tji->t", model.ring_hamiltonian(fluxes), reduced).real
     raise ValueError(f"which must be 'e' or 's', got {which!r}")
 
 
@@ -180,7 +185,7 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
     inside = ~(at_a | at_b)
     v[at_a] = model.ring_eigenbasis(drive.A)[1]
     v[at_b] = model.ring_eigenbasis(drive.B)[1]
-    v[inside] = np.linalg.eigh(model.ring_hamiltonians(flux[inside]))[1]
+    v[inside] = np.linalg.eigh(model.ring_hamiltonian(flux[inside]))[1]
 
     rho_e, rho_s = reduced_states(data, traj.dims)
     if traj.is_pure:

@@ -75,6 +75,17 @@ def test_non_numeric_ramp_value_exits_2(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ['sweep.refine="no"', "ramp.auto_t0=1",
+                                      "output.directory=5", "output.format=true"])
+def test_wrong_type_bool_or_string_exits_2(tmp_path, monkeypatch, capsys, override):
+    """Bool and string fields take only a JSON bool or string: a truthy string must
+    not switch the refinement on, and no output directory may be made from it."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--set", override]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "run.json"

@@ -4,6 +4,7 @@ The heavy default runs come from session fixtures in conftest; tests here
 only add short bespoke runs.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 import squidring as sq
+from squidring import experiments
 from squidring.circuit import CircuitParams, StaticHamiltonian, build_he, build_total
 from squidring.dynamics import QuantumState, evolve_tdse
 from squidring.experiments import _fminbound, _static_averages, _zeroin
@@ -230,3 +232,22 @@ def test_zeroin_is_scipy_brentq(problem):
             _zeroin(f, lo, hi)
     else:
         assert _zeroin(f, lo, hi) == root
+
+
+def test_sweep_is_blocked_without_per_point_models(monkeypatch):
+    """The default grid is evaluated in blocks of SWEEP_BLOCK fluxes, with no
+    TruncatedModel per point, and its traced peak stays below the size of one
+    unblocked (201, 40, 40) complex ring stack."""
+    def per_point_model(*args, **kwargs):
+        raise AssertionError("the sweep built a per-point model")
+
+    monkeypatch.setattr(experiments, "truncate_to_eigenbasis", per_point_model)
+    cfg = sq.SweepConfig(refine=False)
+    tracemalloc.start()
+    try:
+        result = experiments.run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.points) == cfg.points == 201
+    assert peak < cfg.points * 40 * 40 * np.dtype(complex).itemsize

@@ -1,6 +1,6 @@
 """Property tests over random small systems: the shared integrator core, the
-closed-form static time average, the batched records pass and the twin symmetry
-of the static sweep and of the flux ramp."""
+closed-form static time average, the batched static and records passes and the
+twin symmetry of the static sweep and of the flux ramp."""
 import math
 from dataclasses import replace
 
@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from squidring.circuit import HBAR, KB, CircuitParams, FluxDrive, StaticHamiltonian, ladder
+from squidring.circuit import (
+    HBAR,
+    KB,
+    CircuitParams,
+    FluxDrive,
+    StaticHamiltonian,
+    build_total,
+    ladder,
+    truncate_to_eigenbasis,
+)
 from squidring.dynamics import (
     BathParams,
     QuantumState,
@@ -150,6 +159,63 @@ def test_static_averages_twin_symmetry(phi, mu_es):
     right = _static_averages(params, 1.0 - phi, **grid)
     assert abs(left[0] - right[0]) < 1e-10
     assert abs(left[1] - right[1]) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.floats(1.0, 100.0), st.floats(0.01, 0.25))
+def test_closed_form_average_stack_is_per_matrix(blocks, d, seed, tau, sample_dt):
+    """On a stack of spectra, each shared by two amplitude matrices as in the
+    static sweep, the averages and flags equal the per-matrix calls bit for bit;
+    every other spectrum has an exactly degenerate pair."""
+    rng = np.random.default_rng(seed)
+    energies = rng.uniform(-3.0, 3.0, (blocks, 1, d))
+    energies[::2, 0, 1] = energies[::2, 0, 0]
+    amplitudes = hermitize(rng.normal(size=(blocks, 2, d, d))
+                           + 1j * rng.normal(size=(blocks, 2, d, d)))
+    ts = np.linspace(0.0, tau, max(3, int(round(tau / sample_dt)) + 1))
+    avg, flag = closed_form_time_average(ts, energies, amplitudes)
+    assert avg.shape == flag.shape == (blocks, 2)
+    for b in range(blocks):
+        for j in range(2):
+            assert (avg[b, j], flag[b, j]) == closed_form_time_average(
+                ts, energies[b, 0], amplitudes[b, j])
+
+
+@st.composite
+def flux_blocks(draw):
+    """1-12 fluxes in [0.30, 0.70], some of them followed by their twin 1 - phi."""
+    fluxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        fluxes.append(draw(st.floats(0.30, 0.70)))
+        if draw(st.booleans()):
+            fluxes.append(1.0 - fluxes[-1])
+    return np.array(fluxes[:12])
+
+
+@settings(max_examples=10, deadline=None)
+@given(flux_blocks(), st.floats(0.008, 0.012))
+def test_static_averages_stack_is_per_point(fluxes, mu_es):
+    """The batched static pass over an array of fluxes has the bits of the
+    single-flux calls, so blocking the sweep cannot move it, and stays within
+    1e-12 of the per-point construction: a TruncatedModel at each flux, the
+    total H's eigenbasis and the scalar closed-form average."""
+    params = CircuitParams(mu_es=mu_es)
+    grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
+    stacked = _static_averages(params, fluxes, **grid)
+    single = [_static_averages(params, phi, **grid) for phi in fluxes]
+    for got, want in zip(stacked, zip(*single)):
+        assert np.array_equal(got, want)
+
+    ts = np.linspace(0.0, 2000.0, 8001)
+    for phi, (avg_e, avg_s, _, _) in zip(fluxes, single):
+        model = truncate_to_eigenbasis(params, ring_ref_flux=phi, check_convergence=False)
+        w, v = np.linalg.eigh(build_total(model, phi))
+        c = v[1 * 4 + 0].conj()  # |1e, 0s> in the eigenbasis
+        for op, got in ((np.kron(model.field_h, np.eye(4)), avg_e),
+                        (np.kron(np.eye(4), model.ring_hamiltonian(phi)), avg_s)):
+            amplitudes = c.conj()[:, None] * (v.conj().T @ op @ v) * c
+            assert abs(got - closed_form_time_average(ts, w, amplitudes)[0]) < 1e-12
 
 
 @st.composite
