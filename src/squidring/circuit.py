@@ -179,12 +179,13 @@ def ladder(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RingOperators:
-    """Ring operators in some basis, all dimensionless (hbar*omega_s units).
-    Each field is one matrix, or a stack of them shaped (..., dim, dim).
+    """Ring operators in some basis, all dimensionless (hbar*omega_s units), with
+    a the bare LC ladder operator. Each field is one matrix, or a stack of them
+    shaped (..., dim, dim).
 
     harmonic : a†a + 1/2 (the LC part of Hs)
     cos_phi / sin_phi : cos / sin of the flux angle lambda_s (a + a†)
-    flux : a + a†        charge : i (a† - a)        (a : bare LC ladder operator)
+    flux : a + a†        charge : i (a† - a)
     """
 
     harmonic: np.ndarray
@@ -250,8 +251,10 @@ def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
 
 
 def build_hs(ops: RingOperators, groups: DimensionlessGroups,
-             phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-    """Ring Hamiltonian in hbar*omega_s units, in whatever basis `ops` uses."""
+             phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.ndarray:
+    """Ring Hamiltonian in hbar*omega_s units, in whatever basis `ops` uses; an
+    array of fluxes gives a stack, one Hamiltonian per flux (and per entry of
+    stacked `ops`)."""
     return _combine(drive_coefficients(phi_x, phi_rate), ring_pieces(ops, groups))
 
 

@@ -23,11 +23,11 @@ from .circuit import (
     TruncatedModel,
     _combine,
     build_he,
+    build_hs,
     build_total,
     drive_coefficients,
     drive_terms,
     fock_ring_ops,
-    ring_pieces,
     truncate_to_eigenbasis,
 )
 from .dynamics import (
@@ -202,14 +202,13 @@ def _static_averages(
     phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
     groups = DimensionlessGroups.from_params(params)
     ops = fock_ring_ops(pre_dim, groups.lambda_s)
-    coefficients = drive_coefficients(phi)
-    _, v = np.linalg.eigh(_combine(coefficients, ring_pieces(ops, groups)))
+    _, v = np.linalg.eigh(build_hs(ops, groups, phi))
     ring = ops.transformed(v[..., :ds])
-    w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, groups, de)))
+    w, v = np.linalg.eigh(_combine(drive_coefficients(phi), drive_terms(ring, groups, de)))
     ne, ms = INITIAL_LABEL
     c = v[..., ne * ds + ms, :].conj()  # the initial state |ne, ms> in the eigenbasis
     h_e = np.kron(build_he(de, groups), np.eye(ds))
-    h_s = np.kron(np.eye(de), _combine(coefficients, ring_pieces(ring, groups)))
+    h_s = np.kron(np.eye(de), build_hs(ring, groups, phi))
     ops_es = np.stack([np.broadcast_to(h_e, h_s.shape), h_s], axis=-3)
     v = v[..., None, :, :]
     amplitudes = (c.conj()[..., None, :, None] * (v.mT.conj() @ ops_es @ v)
