@@ -224,8 +224,9 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
 
 def drive_coefficients(phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.ndarray:
     """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
-    sin(2 pi phi_x), phi_rate; for an array of fluxes, one row of them per flux."""
-    if np.ndim(phi_x) == 0:
+    sin(2 pi phi_x), phi_rate; for a numpy array of fluxes, one row of them per
+    flux."""
+    if not isinstance(phi_x, np.ndarray):
         return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
                          phi_rate])
     angle = 2 * np.pi * np.asarray(phi_x, dtype=float)
@@ -235,10 +236,13 @@ def drive_coefficients(phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.n
 
 def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
-    coefficients, from pieces (4, n, n) shared by every row or stacked per row."""
-    flat = pieces.reshape(*pieces.shape[:-2], -1)
-    return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
-        *coefficients.shape[:-1], *pieces.shape[-2:])
+    coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
+    stacked per row."""
+    shape = coefficients.shape[:-1] + pieces.shape[-2:]
+    if pieces.ndim == 3:  # one product for all rows; the ramp's RK4 steps take this path
+        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(shape)
+    flat = pieces.reshape(pieces.shape[:-2] + (-1,))
+    return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(shape)
 
 
 def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
