@@ -238,11 +238,11 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
     coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
     stacked per row."""
-    shape = coefficients.shape[:-1] + pieces.shape[-2:]
-    if pieces.ndim == 3:  # one product for all rows; the ramp's RK4 steps take this path
-        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(shape)
+    if coefficients.ndim == 1:  # one matrix, as in every step of the ramp window
+        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
     flat = pieces.reshape(pieces.shape[:-2] + (-1,))
-    return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(shape)
+    return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
+        coefficients.shape[:-1] + pieces.shape[-2:])
 
 
 def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
