@@ -198,7 +198,8 @@ class RingOperators:
         """Project every operator with a (..., dim, k) isometry of basis columns;
         a stack of isometries gives a stack of projected operators."""
         td = t.mT.conj()
-        return RingOperators(**{name: hermitize(td @ op @ t) for name, op in vars(self).items()})
+        return RingOperators(**{name: hermitize(td @ op @ t)
+                                for name, op in vars(self).items()})
 
 
 @lru_cache(maxsize=8)
