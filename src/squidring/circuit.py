@@ -179,9 +179,9 @@ def ladder(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RingOperators:
-    """Ring operators in some basis, all dimensionless (hbar*omega_s units), with
-    a the bare LC ladder operator. Each field is one matrix, or a stack of them
-    shaped (..., dim, dim).
+    """Ring operators in some basis, all dimensionless (hbar*omega_s units). Each
+    field is one matrix, or a stack of them shaped (..., dim, dim). In terms of
+    the Fock basis's LC ladder operator a:
 
     harmonic : a†a + 1/2 (the LC part of Hs)
     cos_phi / sin_phi : cos / sin of the flux angle lambda_s (a + a†)

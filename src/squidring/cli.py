@@ -19,11 +19,9 @@ from .config import ConfigError, RunConfig, apply_overrides, parse_config, read_
 from .dynamics import IntegrationError, QuantumState, evolve_tdse
 from .experiments import default_model, resolve_t0, run_dissipative, run_ramp, run_sweep
 from .linalg import PositivityError, is_hermitian
-from .observables import RECORD_COLUMNS, labeled_basis
+from .observables import labeled_basis
 
 NUMERIC_FMT = ".15g"
-
-SWEEP_COLUMNS = ("phi_x", "avg_E_e", "avg_E_s", "converged")
 
 
 def _fmt(value) -> str:
@@ -34,7 +32,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, columns, rows, fmt: str) -> None:
+def _write_rows(path: Path, records: dict, fmt: str) -> None:
+    """One data file: a column per key of records (one array each), a row per sample."""
+    columns = list(records)
+    rows = zip(*(records[c].tolist() for c in columns))  # plain Python floats and bools
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -47,9 +48,10 @@ def _write_rows(path: Path, columns, rows, fmt: str) -> None:
                 fh.write(json.dumps(dict(zip(columns, row))) + "\n")
 
 
-def _write_ramp(path: Path, records: dict, fmt: str) -> None:
-    rows = zip(*(records[c].tolist() for c in RECORD_COLUMNS))  # plain Python floats
-    _write_rows(path, RECORD_COLUMNS, rows, fmt)
+def _write_data(cfg: RunConfig, name: str, records: dict) -> None:
+    """records as <output.directory>/<name>.<output.format>."""
+    fmt = cfg.output.format
+    _write_rows(Path(cfg.output.directory) / f"{name}.{fmt}", records, fmt)
 
 
 def _model_from_config(cfg: RunConfig):
@@ -65,24 +67,21 @@ def _ramp_setup(cfg: RunConfig):
     return model, replace(cfg, ramp=resolve_t0(cfg.ramp, model))
 
 
-def _run_ramp(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+def _run_ramp(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     model, cfg = _ramp_setup(cfg)
     result = run_ramp(cfg.ramp, model, cfg.integrator, sample_dt=cfg.output.sample_dt)
-    suffix = "csv" if fmt == "csv" else "jsonl"
-    _write_ramp(out / f"ramp.{suffix}", result.records, fmt)
+    _write_data(cfg, "ramp", result.records)
     lines = ["ramp run", f"  samples: {len(result.records['t'])}"]
     lines += [f"  plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
     return cfg, lines
 
 
-def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+def _run_sweep(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     result = run_sweep(cfg.sweep, cfg.circuit,
                        de=cfg.truncation.de, ds=cfg.truncation.ds,
                        pre_dim=cfg.truncation.pre_dim)
-    suffix = "csv" if fmt == "csv" else "jsonl"
-    rows = [(p.phi_x, p.avg_E_e, p.avg_E_s, p.converged) for p in result.points]
-    _write_rows(out / f"sweep.{suffix}", SWEEP_COLUMNS, rows, fmt)
-    lines = ["sweep run", f"  points: {len(result.points)}",
+    _write_data(cfg, "sweep", result.records)
+    lines = ["sweep run", f"  points: {len(result.records['phi_x'])}",
              f"  field-energy baseline: {_fmt(result.baseline)}"]
     if result.regions:
         for r in result.regions:
@@ -98,20 +97,19 @@ def _run_sweep(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str
     return cfg, lines
 
 
-def _run_dissipative(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+def _run_dissipative(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     model, cfg = _ramp_setup(cfg)
     results = run_dissipative(cfg.ramp, model, cfg.bath, cfg.integrator, cfg.output.sample_dt)
-    suffix = "csv" if fmt == "csv" else "jsonl"
     lines = ["dissipative run"]
     for gamma, result in results.items():
         tag = format(gamma, "g").replace("-", "m").replace("+", "")
-        _write_ramp(out / f"dissipative_gamma_{tag}.{suffix}", result.records, fmt)
+        _write_data(cfg, f"dissipative_gamma_{tag}", result.records)
         lines.append(f"  gamma = {gamma:g} omega_s:")
         lines += [f"    plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
     return cfg, lines
 
 
-def _run_validate(cfg: RunConfig, out: Path, fmt: str) -> tuple[RunConfig, list[str]]:
+def _run_validate(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     """Invariant battery on the configured model; raises on failure."""
     model = _model_from_config(cfg)
     drive = cfg.ramp.drive
@@ -180,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", help="output directory: output.directory")
+        p.add_argument("--format", help="csv or jsonl: output.format")
         p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dot-path config override")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=None)
+                       metavar="KEY=VALUE", help="dot-path config override, applied last")
     return parser
 
 
@@ -191,23 +189,27 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = read_config(args.config)
-        apply_overrides(raw, args.overrides)
+        shorthands = [f"output.{key}={json.dumps(value)}"  # JSON strings: --out 123 is "123"
+                      for key, value in (("directory", args.out), ("format", args.format))
+                      if value is not None]
+        apply_overrides(raw, shorthands + args.overrides)
         if args.command != "validate":
             raw["experiment"] = args.command
         cfg = parse_config(raw)
+        out = Path(cfg.output.directory)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    out = Path(args.out) if args.out is not None else Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or cfg.output.format
 
     def write_config(used: RunConfig) -> None:
         (out / "resolved_config.json").write_text(json.dumps(used.to_dict(), indent=2) + "\n")
 
     try:
-        used, lines = _RUNNERS[args.command](cfg, out, fmt)
+        used, lines = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,9 +132,14 @@ class BathConfig:
     def __post_init__(self):
         if not isinstance(self.gammas, (list, tuple)) or not self.gammas:
             raise ValueError("bath.gammas must be a nonempty list of rates")
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        # + 0.0 turns -0.0 into 0.0, which is the same rate and the same dict key
+        object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         if any(g < 0 for g in self.gammas):
             raise ValueError("bath.gammas must be nonnegative")
+        names = [format(g, "g") for g in self.gammas]  # each run's file and summary name
+        if len(set(names)) < len(names):
+            raise ValueError(f"bath.gammas must differ to 6 significant digits, which "
+                             f"name each rate's output file, got {list(self.gammas)}")
         if self.Tb <= 0:
             raise ValueError("bath.Tb must be positive")
         if self.omega_b is not None and self.omega_b <= 0:
@@ -148,17 +153,9 @@ class ExchangeRegion:
     depth: float    # hbar*omega_s, maximum energy removed from the field
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    phi_x: float
-    avg_E_e: float
-    avg_E_s: float
-    converged: bool
-
-
 @dataclass
 class SweepResult:
-    points: list[SweepPoint]
+    records: dict[str, np.ndarray]      # phi_x, avg_E_e, avg_E_s, converged: one array each
     regions: list[ExchangeRegion]
     baseline: float
 
@@ -404,16 +401,11 @@ def run_sweep(
                                de, ds, pre_dim)
               for i in range(0, len(grid), SWEEP_BLOCK)]
     avg_e, avg_s, conv_e, conv_s = (np.concatenate(column) for column in zip(*blocks))
-
-    points = [
-        SweepPoint(phi_x=float(phi), avg_E_e=float(e), avg_E_s=float(s),
-                   converged=bool(ce and cs))
-        for phi, e, s, ce, cs in zip(grid, avg_e, avg_s, conv_e, conv_s)
-    ]
+    records = {"phi_x": grid, "avg_E_e": avg_e, "avg_E_s": avg_s, "converged": conv_e & conv_s}
     ne, _ = INITIAL_LABEL
     baseline = (ne + 0.5) * DimensionlessGroups.from_params(params).omega_ratio
     regions = _detect_regions(cfg, params, grid, avg_e, baseline, de, ds, pre_dim)
-    return SweepResult(points=points, regions=regions, baseline=baseline)
+    return SweepResult(records=records, regions=regions, baseline=baseline)
 
 
 def find_crossing_time(model: TruncatedModel, flux: float, t_max: float,
@@ -451,11 +443,16 @@ def _plateau_stats(records: dict[str, np.ndarray]) -> dict:
 def resolve_t0(cfg: RampConfig, model: TruncatedModel) -> RampConfig:
     """cfg with auto_t0 replaced by its value: t0 = the half-exchange time at A.
 
-    Raises ConfigError when t_end no longer lies beyond the resolved ramp.
+    Raises ConfigError when there is no exchange at A to time, or when t_end
+    no longer lies beyond the resolved ramp.
     """
     if not cfg.auto_t0:
         return cfg
-    t0 = find_crossing_time(model, cfg.A, t_max=4 * max(cfg.t0, 100.0))
+    try:
+        t0 = find_crossing_time(model, cfg.A, t_max=4 * max(cfg.t0, 100.0))
+    except RuntimeError as exc:
+        raise ConfigError(f"auto_t0 finds no half-exchange time at A = {cfg.A:g}: "
+                          f"{exc}") from exc
     try:
         return replace(cfg, t0=t0, auto_t0=False)
     except ValueError as exc:

@@ -86,6 +86,29 @@ def test_wrong_type_bool_or_string_exits_2(tmp_path, monkeypatch, capsys, overri
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("gammas", ["[1e-5,1e-5]", "[1e-5,1.0000001e-5]"])
+def test_bath_rates_with_one_file_name_exit_2(tmp_path, capsys, gammas):
+    """Two rates alike to 6 significant digits would write one data file."""
+    out = tmp_path / "diss"
+    assert main(["dissipative", "--out", str(out), "--set", f"bath.gammas={gammas}"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("")
+    assert main(["validate", "--out", str(tmp_path / target)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unknown_format_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["ramp", "--out", str(out), "--format", "xml"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     path = tmp_path / "run.json"
@@ -129,6 +152,32 @@ def test_ramp_jsonl_format(tmp_path):
     first = json.loads(lines[0])
     assert set(first) == set(RECORD_COLUMNS)
     assert first["t"] == 0.0
+
+
+def test_out_and_format_are_recorded_and_rerun(tmp_path, monkeypatch):
+    """--out and --format set output.directory and output.format, so the run's
+    resolved_config.json reruns to the same file with no flags."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert main(["ramp", "--out", str(out), "--format", "jsonl"] + SHORT_RAMP) == 0
+    first = (out / "ramp.jsonl").read_bytes()
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["output"]["directory"], resolved["output"]["format"]) == (str(out), "jsonl")
+    (out / "ramp.jsonl").unlink()
+    assert main(["ramp", "--config", str(out / "resolved_config.json")]) == 0
+    assert (out / "ramp.jsonl").read_bytes() == first
+
+
+def test_set_wins_over_out_and_format(tmp_path, monkeypatch):
+    """The flags are plain strings applied before --set: `--out 123` is the
+    directory "123", and an explicit output.* override replaces either flag."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["ramp", "--out", "123", "--format", "jsonl"] + SHORT_RAMP) == 0
+    assert json.loads(Path("123/resolved_config.json").read_text())["output"]["directory"] == "123"
+    assert Path("123/ramp.jsonl").is_file()
+    assert main(["ramp", "--out", "flag", "--format", "jsonl", "--set", "output.directory=set",
+                 "--set", "output.format=csv"] + SHORT_RAMP) == 0
+    assert Path("set/ramp.csv").is_file() and not Path("flag").exists()
 
 
 def test_sweep_run_outputs(tmp_path):
@@ -188,6 +237,15 @@ def test_auto_t0_beyond_t_end_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert not (out / "ramp.csv").exists()
     assert not (out / "summary.txt").exists()
+
+
+def test_auto_t0_without_exchange_exits_2(tmp_path, capsys):
+    """Far off resonance at A the probabilities never cross: no t0 to resolve."""
+    out = tmp_path / "off"
+    assert main(["ramp", "--out", str(out), "--set", "ramp.A=0.35",
+                 "--set", "ramp.auto_t0=true"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_resolved_config_is_the_config_run(tmp_path):

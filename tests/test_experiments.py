@@ -35,6 +35,14 @@ def test_sweep_config_validation():
     np.testing.assert_allclose(grid, np.linspace(0.4, 0.5, 11), atol=1e-15)
 
 
+@pytest.mark.parametrize("gammas", [(1e-5, 1e-5), (1e-5, 1.0000001e-5), (0.0, -0.0)])
+def test_bath_rates_that_print_alike_rejected(gammas):
+    """Each rate names its output file and summary entry by format(gamma, "g"),
+    so two rates alike to 6 significant digits would overwrite each other."""
+    with pytest.raises(ValueError, match="bath.gammas"):
+        sq.BathConfig(gammas=gammas)
+
+
 def test_ramp_config_validation():
     with pytest.raises(ValueError):
         sq.RampConfig(t_end=100.0)  # ends before the default ramp finishes
@@ -102,8 +110,8 @@ def test_static_point_matches_integrator():
 def test_sweep_slice_detects_resonance():
     cfg = sq.SweepConfig(phi_min=0.41, phi_max=0.45, points=21)
     result = sq.run_sweep(cfg)
-    assert len(result.points) == 21
-    assert all(p.converged for p in result.points)
+    assert len(result.records["phi_x"]) == 21
+    assert all(result.records["converged"])
     assert result.baseline == pytest.approx(1.5)
     assert len(result.regions) == 1
     region = result.regions[0]
@@ -249,5 +257,5 @@ def test_sweep_is_blocked_without_per_point_models(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.points) == cfg.points == 201
+    assert len(result.records["phi_x"]) == cfg.points == 201
     assert peak < cfg.points * 40 * 40 * np.dtype(complex).itemsize

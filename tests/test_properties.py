@@ -1,6 +1,7 @@
 """Property tests over random small systems: the shared integrator core, the
-closed-form static time average, the batched static and records passes and the
-twin symmetry of the static sweep and of the flux ramp."""
+closed-form static time average, the batched static and records passes, the
+twin symmetry of the static sweep and of the flux ramp and the convergence of
+the ring truncation."""
 import math
 from dataclasses import replace
 
@@ -12,9 +13,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from squidring.circuit import (
+    DEFAULT_CS,
     HBAR,
     KB,
     CircuitParams,
+    ConvergenceError,
     FluxDrive,
     StaticHamiltonian,
     build_total,
@@ -293,3 +296,24 @@ def test_ramp_twin_symmetry(t0, b):
     right = run_ramp(mirror, default_model(ref_flux=mirror.A)).records
     for name in RECORD_COLUMNS:
         assert np.max(np.abs(left[name] - right[name])) < 1e-10, name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.8, 1.25), st.floats(0.005, 0.02), st.floats(0.30, 0.70))
+def test_truncation_converges_over_circuits(cs_scale, mu_es, phi):
+    """Over ring capacitances, couplings and fluxes around the defaults the 40-state
+    Fock basis passes the doubled-basis check, and the four lowest ring energies
+    move by less than convergence_tol (1e-6) from 40 to 80 states."""
+    params = CircuitParams(Cs=cs_scale * DEFAULT_CS, mu_es=mu_es)
+    model = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=40)
+    doubled = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=80,
+                                     check_convergence=False)
+    assert np.max(np.abs(model.ring_energies - doubled.ring_energies)) < 1e-6
+
+
+def test_small_fock_basis_fails_the_convergence_check():
+    """At the defaults 8 to 16 Fock states move the retained ring energies by
+    1.3e-2 to 3.8e-5 when doubled, so the check rejects every one of them."""
+    for pre_dim in range(8, 17):
+        with pytest.raises(ConvergenceError):
+            truncate_to_eigenbasis(CircuitParams(), pre_dim=pre_dim)
