@@ -18,8 +18,10 @@ Hes = (mu_es/Lambda_s) * Phis * Phie, entering the total as H = He + Hs - Hes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,6 +53,41 @@ class ConvergenceError(RuntimeError):
     """Basis truncation did not converge against a doubled pre-truncation basis."""
 
 
+def _finite(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+# What a field of each annotated type takes, and how an error names it.
+_KINDS = {
+    float: (_finite, "a finite number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+_field_types = lru_cache(maxsize=None)(get_type_hints)
+
+
+def check_types(block) -> None:
+    """Raise ValueError unless each field of the config block holds its annotated
+    type: a float field a finite real number (ints too, but not NaN, +-Infinity or
+    bools), an int field an int but not a bool, tuple[float, ...] a list or tuple of
+    finite numbers, bool True or False, str a string; None only where admitted."""
+    for name, annotation in _field_types(type(block)).items():
+        value = getattr(block, name)
+        args = get_args(annotation)
+        if value is None and type(None) in args:
+            continue
+        if get_origin(annotation) is tuple:
+            ok = isinstance(value, (list, tuple)) and all(map(_finite, value))
+            what = "a list of finite numbers"
+        else:
+            test, what = _KINDS[next(a for a in args or [annotation] if a is not type(None))]
+            ok = test(value)
+        if not ok:
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """SI circuit values. Derived frequencies/groups are exposed as properties."""
@@ -63,6 +100,7 @@ class CircuitParams:
     mu_es: float = DEFAULT_MU_ES
 
     def __post_init__(self):
+        check_types(self)
         if self.Ce is None:
             object.__setattr__(self, "Ce", self.Cs)
         if self.Lambda_e is None:

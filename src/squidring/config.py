@@ -2,17 +2,18 @@
 
 Unknown keys are rejected so typos fail loudly; every omitted value falls back
 to the defaults that reproduce the reference setup, so `{}` is a valid config.
+Each block checks its own values when it is made, so a block made in library
+code obeys the same rules as one read from JSON: `circuit.check_types` holds
+every field to its annotated type and `__post_init__` checks the ranges. Here
+their ValueError becomes a ConfigError that names the block.
 """
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
-from .circuit import CircuitParams
+from .circuit import CircuitParams, check_types
 from .dynamics import SAMPLE_DT, IntegratorConfig
 from .experiments import BathConfig, ConfigError, RampConfig, SweepConfig
 
@@ -27,9 +28,7 @@ class TruncationConfig:
     pre_dim: int = 40
 
     def __post_init__(self):
-        if not all(isinstance(n, int) for n in (self.de, self.ds, self.pre_dim)):
-            raise ValueError("truncation.de, truncation.ds and truncation.pre_dim "
-                             "must be integers")
+        check_types(self)
         if self.de < 2 or self.ds < 2:
             raise ValueError("truncation.de and truncation.ds must be >= 2")
         if self.pre_dim < 2 * max(self.de, self.ds):
@@ -43,6 +42,7 @@ class OutputConfig:
     sample_dt: float = SAMPLE_DT
 
     def __post_init__(self):
+        check_types(self)
         if self.format not in FORMATS:
             raise ValueError(f"output.format must be one of {FORMATS}")
         if self.sample_dt <= 0:
@@ -67,49 +67,8 @@ class RunConfig:
         return asdict(self)
 
 
-_BLOCKS = {
-    "circuit": CircuitParams,
-    "truncation": TruncationConfig,
-    "integrator": IntegratorConfig,
-    "sweep": SweepConfig,
-    "ramp": RampConfig,
-    "bath": BathConfig,
-    "output": OutputConfig,
-}
-
-
-def _admitted(annotation) -> set:
-    """The scalar types a field annotation admits, also inside | None and tuple[...]."""
-    args = get_args(annotation)
-    return set().union(*map(_admitted, args)) if args else {annotation}
-
-
-def _finite_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
-
-
-def _check_types(cls, block: str, data: dict) -> None:
-    """Every value must have its field's type, so that no JSON value reaches a run
-    as a different kind of thing. A numeric field takes finite real numbers only,
-    also element by element in a list: NaN, +-Infinity and bools are rejected. A
-    bool field takes true or false, a string field a string. None passes only
-    where the field admits it, where it means a default."""
-    annotations = get_type_hints(cls)
-    for key, value in data.items():
-        admitted = _admitted(annotations[key])
-        if value is None and type(None) in admitted:
-            continue
-        if admitted & {int, float}:
-            ok = all(map(_finite_number, value if isinstance(value, list) else [value]))
-            what = "finite numbers" if isinstance(value, list) else "a finite number"
-        elif bool in admitted:
-            ok, what = isinstance(value, bool), "true or false"
-        else:  # every other field is a string
-            ok, what = isinstance(value, str), "a string"
-        if not ok:
-            raise ConfigError(f"invalid value in {block!r}: {block}.{key} must be "
-                              f"{what}, got {value!r}")
+# Every RunConfig field but the experiment is a block, made by its default factory.
+_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "experiment"}
 
 
 def _build(cls, block: str, data: dict):
@@ -121,7 +80,6 @@ def _build(cls, block: str, data: dict):
         raise ConfigError(
             f"unknown key(s) in {block!r}: {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
-    _check_types(cls, block, data)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

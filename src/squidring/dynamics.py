@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import HBAR, KB
+from .circuit import HBAR, KB, check_types
 from .linalg import PositivityError, hermitize
 
 NORM_ABORT = 1e-6
@@ -28,6 +28,7 @@ TRACE_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-6
 
 SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
+RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp raises a smaller rtol to this, only warning
 
 
 class IntegrationError(RuntimeError):
@@ -115,10 +116,16 @@ class IntegratorConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
+        check_types(self)
         if self.method not in ("rk4", "adaptive"):
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.dt <= 0:
             raise ValueError("IntegratorConfig.dt must be positive")
+        if self.rtol < RTOL_FLOOR:
+            raise ValueError(f"IntegratorConfig.rtol must be >= {RTOL_FLOOR:.3g}, "
+                             f"got {self.rtol!r}")
+        if self.atol < 0:
+            raise ValueError(f"IntegratorConfig.atol must be nonnegative, got {self.atol!r}")
 
 
 @dataclass

@@ -8,7 +8,6 @@ validated against that same spectral solution in the test suite.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -25,6 +24,7 @@ from .circuit import (
     build_he,
     build_hs,
     build_total,
+    check_types,
     drive_coefficients,
     drive_terms,
     fock_ring_ops,
@@ -73,9 +73,10 @@ class SweepConfig:
     refine: bool = True
 
     def __post_init__(self):
+        check_types(self)
         if not (0 < self.phi_min < self.phi_max < 1):
             raise ValueError("sweep flux range must satisfy 0 < phi_min < phi_max < 1")
-        if not isinstance(self.points, int) or self.points < 2:
+        if self.points < 2:
             raise ValueError("sweep.points must be an integer >= 2")
         if not (self.tau > 0 and self.sample_dt > 0):
             raise ValueError("sweep.tau and sweep.sample_dt must be positive")
@@ -96,13 +97,7 @@ class RampConfig:
     label_mode: str = "instantaneous"   # or "frozen" (labels stay at the A basis)
 
     def __post_init__(self):
-        for name in ("A", "B", "t0", "tr", "t_end"):
-            value = getattr(self, name)
-            if name == "t_end" and value is None:
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"ramp.{name} must be a finite number, got {value!r}")
+        check_types(self)
         if self.label_mode not in ("instantaneous", "frozen"):
             raise ValueError(f"unknown label_mode {self.label_mode!r}")
         drive = self.drive
@@ -130,7 +125,8 @@ class BathConfig:
     omega_b: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.gammas, (list, tuple)) or not self.gammas:
+        check_types(self)
+        if not self.gammas:
             raise ValueError("bath.gammas must be a nonempty list of rates")
         # + 0.0 turns -0.0 into 0.0, which is the same rate and the same dict key
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))

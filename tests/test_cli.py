@@ -56,6 +56,8 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     "integrator.dt=NaN", "integrator.dt=Infinity", "circuit.Cs=NaN", "circuit.Ce=Infinity",
     "bath.Tb=NaN", "bath.Tb=true", "bath.gammas=[NaN]", "bath.gammas=[1e-5, true]",
     "sweep.tau=true", "integrator.rtol=NaN", "output.sample_dt=NaN",
+    "circuit.hbar_nu=[1e-22]", "integrator.rtol=[1e-9]",
+    "integrator.rtol=-1", "integrator.rtol=1e-15", "integrator.atol=-1",
 ])
 def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, override):
     """Every numeric config field takes only finite numbers: NaN, +-Infinity and

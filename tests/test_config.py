@@ -1,15 +1,19 @@
 """Strict config parsing: defaults, rejection of unknown keys, round-tripping."""
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+import squidring as sq
 from squidring.cli import main
 from squidring.config import (
     ConfigError,
+    OutputConfig,
     RunConfig,
+    TruncationConfig,
     apply_overrides,
     parse_config,
 )
@@ -130,6 +134,27 @@ def test_truncation_validation():
 def test_invalid_values_rejected(override):
     with pytest.raises(ConfigError, match="invalid value"):
         parse_config(apply_overrides({}, [override]))
+
+
+@pytest.mark.parametrize("block, name, value", [
+    (sq.CircuitParams, "Cs", math.nan),
+    (sq.CircuitParams, "hbar_nu", [1e-22]),
+    (sq.IntegratorConfig, "dt", math.nan),
+    (sq.IntegratorConfig, "rtol", [1e-9]),
+    (sq.SweepConfig, "refine", "no"),
+    (sq.RampConfig, "auto_t0", 1),
+    (sq.BathConfig, "Tb", math.nan),
+    (sq.BathConfig, "gammas", [math.nan]),
+    (sq.BathConfig, "gammas", [True]),
+    (OutputConfig, "sample_dt", math.nan),
+    (OutputConfig, "directory", 5),
+    (TruncationConfig, "de", 4.0),
+    (sq.SweepConfig, "points", True),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_library_blocks_reject_wrong_types(block, name, value):
+    """A block made in library code obeys the type rule of the JSON config."""
+    with pytest.raises(ValueError, match=name):
+        block(**{name: value})
 
 
 def _readme_config() -> dict:
