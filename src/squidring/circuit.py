@@ -172,12 +172,20 @@ class DimensionlessGroups:
         )
 
 
+def _select(condition, if_true, if_false):
+    """np.where, or a plain conditional expression for one time."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
+
+
 @dataclass(frozen=True)
 class FluxDrive:
     """Piecewise-linear external flux schedule, Phi0 / omega_s^-1 units.
 
     value(t): A for t <= t0, linear ramp to B over (t0, t0+tr], B afterwards.
-    rate(t):  (B-A)/tr inside the ramp window, 0 outside.
+    rate(t):  (B-A)/tr inside the ramp window, 0 outside (so rate(t0) is 0).
+    Both take one time, giving a float, or an array of times, giving an array.
     """
 
     A: float = DEFAULT_BIAS
@@ -186,22 +194,26 @@ class FluxDrive:
     tr: float = 16.6
 
     def __post_init__(self):
+        check_types(self)
         if self.tr <= 0:
             raise ValueError("FluxDrive.tr must be positive")
         if self.t0 < 0:
             raise ValueError("FluxDrive.t0 must be nonnegative")
 
-    def value(self, t: float) -> float:
-        if t <= self.t0:
-            return self.A
-        if t <= self.t0 + self.tr:
-            return self.A + (self.B - self.A) * (t - self.t0) / self.tr
-        return self.B
+    def _window(self, t):
+        """Where t lies inside the ramp window (t0, t0+tr], and where after it:
+        the one piecewise rule of value and rate."""
+        t1 = self.t0 + self.tr
+        return (self.t0 < t) & (t <= t1), t > t1
 
-    def rate(self, t: float) -> float:
-        if self.t0 < t <= self.t0 + self.tr:
-            return (self.B - self.A) / self.tr
-        return 0.0
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+        inside, after = self._window(t)
+        return _select(inside, self.A + (self.B - self.A) * (t - self.t0) / self.tr,
+                       _select(after, self.B, self.A))
+
+    def rate(self, t: float | np.ndarray) -> float | np.ndarray:
+        inside, _ = self._window(t)
+        return _select(inside, (self.B - self.A) / self.tr, 0.0)
 
     @property
     def breakpoints(self) -> tuple[float, float]:
@@ -261,10 +273,11 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
     return ops
 
 
-def drive_coefficients(phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.ndarray:
+def drive_coefficients(phi_x: float | np.ndarray,
+                       phi_rate: float | np.ndarray = 0.0) -> np.ndarray:
     """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
     sin(2 pi phi_x), phi_rate; for a numpy array of fluxes, one row of them per
-    flux."""
+    flux (with one rate for all of them, or one per flux)."""
     if not isinstance(phi_x, np.ndarray):
         return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
                          phi_rate])
@@ -425,8 +438,9 @@ def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> n
 class RampHamiltonian:
     """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed.
 
-    Callable t -> dense Hamiltonian. `static_on(a, b)` reports whether the
-    drive is frozen on an interval, which the integrators exploit.
+    Callable t -> dense Hamiltonian, or an array of times -> a stack of them.
+    `static_on(a, b)` reports whether the drive is frozen on an interval, which
+    the integrators exploit.
     """
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
@@ -442,7 +456,8 @@ class RampHamiltonian:
     def breakpoints(self) -> tuple[float, float]:
         return self.drive.breakpoints
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        """H at time t; an array of times gives a stack, one H per time."""
         coefficients = drive_coefficients(self.drive.value(t), self.drive.rate(t))
         return _combine(coefficients, self._pieces)
 
@@ -452,7 +467,8 @@ class RampHamiltonian:
 
 
 class StaticHamiltonian:
-    """Constant H wrapped in the same interface as RampHamiltonian."""
+    """Constant H wrapped in the same interface as RampHamiltonian (an array of
+    times gives a read-only stack that repeats H once per time)."""
 
     def __init__(self, h: np.ndarray):
         self._h = np.asarray(h, dtype=complex)
@@ -463,8 +479,8 @@ class StaticHamiltonian:
 
     breakpoints: tuple = ()
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self._h
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self._h, np.shape(t) + self._h.shape) if np.ndim(t) else self._h
 
     def static_on(self, a: float, b: float) -> bool:
         return True

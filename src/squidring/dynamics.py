@@ -4,10 +4,13 @@ Both integrators work in the dimensionless units of the circuit module
 (hbar = 1, time in 1/omega_s). Both equations are the linear ODE
 dy/dt = G(t) y, with y = psi or rho, and share one integrator core (`_evolve`):
 fixed-step RK4 or an embedded adaptive RK45 (scipy's, imported only for that
-method). Hamiltonians are passed as callables t -> H; objects exposing
-`breakpoints` and `static_on(a, b)` (see circuit.RampHamiltonian) let the core
-split at drive discontinuities and apply the RK4 step map as one cached matrix
-power on constant-H stretches.
+method). Hamiltonians are passed as callables t -> H. RampHamiltonian and
+StaticHamiltonian also take an array of times and return a stack of H; the
+core builds the K(t) of all RK4 stages of a knot interval from one such call
+(a plain callable is called once per stage time instead). Objects exposing
+`breakpoints` and `static_on(a, b)` let the core split at drive
+discontinuities and, on each constant-H stretch, evaluate H once and apply
+the RK4 step map as one cached matrix power per knot.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import HBAR, KB, check_types
+from .circuit import HBAR, KB, RampHamiltonian, StaticHamiltonian, check_types
 from .linalg import PositivityError, hermitize
 
 NORM_ABORT = 1e-6
@@ -59,6 +62,7 @@ class BathParams:
     omega_b: float | None = None
 
     def __post_init__(self):
+        check_types(self)
         if self.gamma_e < 0 or self.gamma_s < 0:
             raise ValueError("damping rates must be nonnegative")
 
@@ -151,9 +155,7 @@ def _knots(t_start: float, t_end: float, sample_dt: float, breakpoints):
     samples = np.linspace(t_start, t_end, n + 1)
     extra = [b for b in breakpoints if t_start < b < t_end]
     knots = np.unique(np.concatenate([samples, np.asarray(extra)]))
-    sample_set = set(np.round(samples, 12))
-    flags = np.array([round(k, 12) in sample_set for k in knots])
-    return knots, flags
+    return knots, np.isin(np.round(knots, 12), np.round(samples, 12))
 
 
 class _Schrodinger:
@@ -234,68 +236,85 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
 
     Knots are the sample grid plus the drive breakpoints; the integrator never
-    steps across a knot. On each knot interval H is shifted by its mean
-    diagonal at the midpoint (`shift`; the TDSE phase it removes is restored
-    on output). Constant-H intervals apply the RK4 step map to the power n,
-    cached for the last (H, n, span); others take RK4 steps, each reusing the
-    K of the previous step's end.
-    Each sample is written into one preallocated array.
+    steps across a knot. Consecutive knots on which `static_on` holds from the
+    first of them form one constant-H stretch: H is taken once, at the midpoint
+    of its first knot interval, and each knot applies the RK4 step map to the
+    power n, cached for the last (n, span, H). Every other knot is a window
+    knot: its n RK4 steps index one stack of K at the 2n + 1 stage times
+    a + j h/2 (the last one b itself), built by a single call of the
+    Hamiltonian on an array of times (or, for a plain callable, by one call per
+    time). H is shifted by its mean diagonal at the stretch's or knot's
+    midpoint (`shift`; the TDSE phase it removes is restored on output). The
+    adaptive method instead calls H per evaluation and takes a window knot's
+    shift from a midpoint call. Drift and finiteness are checked at every knot,
+    the lowest eigenvalue at every sample, and each sample is written into one
+    preallocated array.
     Returns (times, samples, max drift, min eigenvalue).
     """
     cfg = config or IntegratorConfig()
+    rk4 = cfg.method == "rk4"
     breakpoints = getattr(hamiltonian, "breakpoints", ())
     knots, is_sample = _knots(t_start, t_end, sample_dt, breakpoints)
     static_on = getattr(hamiltonian, "static_on", lambda a, b: False)
+    if isinstance(hamiltonian, (RampHamiltonian, StaticHamiltonian)):
+        h_stack = hamiltonian
+    else:
+        def h_stack(ts):
+            return np.stack([hamiltonian(t) for t in ts])
     dim = y.shape[0]
     eye = np.eye(dim)
-
-    def minus_ih(t):
-        return -1j * hamiltonian(t)
 
     phase, max_drift, min_eig = 0.0, 0.0, 1.0
     out = np.empty((np.count_nonzero(is_sample),) + y.shape, dtype=complex)
     out[0] = y
     emitted = 1
+    stretch = None  # first knot of the current constant-H stretch
     cached_key, step_map = None, None
 
-    for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
-        span = b - a
-        # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
-        h_mid = hamiltonian(0.5 * (a + b))
-        shift = np.trace(h_mid).real / dim
-        k_const = eq.k_fix + 1j * shift * eye
-        if cfg.method == "rk4":
-            n = max(1, int(math.ceil(span / cfg.dt)))
-            h = span / n
-            if static_on(a, b):
-                key = (n, round(span, 12), h_mid.tobytes())
-                if key != cached_key:
-                    step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
-                    cached_key, step_map = key, np.linalg.matrix_power(step, n)
-                y = (step_map @ y.reshape(-1)).reshape(y.shape)
+    spans = np.diff(knots)
+    for a, b, span, span_key, sample in zip(knots[:-1].tolist(), knots[1:].tolist(),
+                                            spans.tolist(), np.round(spans, 12).tolist(),
+                                            is_sample[1:].tolist()):
+        n = max(1, int(math.ceil(span / cfg.dt)))
+        h = span / n
+        if stretch is None or not static_on(stretch, b):
+            stretch = a if static_on(a, b) else None
+            if stretch is None and rk4:
+                stages = a + np.arange(2 * n + 1) * (0.5 * h)
+                stages[-1] = b  # a + n h may round past b = t0 + tr, where the rate is 0
+                hs = h_stack(stages)
+                h_mid = hs[n]
             else:
-                t = a
-                k_start = minus_ih(t) + k_const
-                for _ in range(n):
-                    k_mid = minus_ih(t + 0.5 * h) + k_const
-                    k_end = minus_ih(t + h) + k_const
-                    s1 = eq.apply(k_start, y)
-                    s2 = eq.apply(k_mid, y + 0.5 * h * s1)
-                    s3 = eq.apply(k_mid, y + 0.5 * h * s2)
-                    s4 = eq.apply(k_end, y + h * s3)
-                    y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-                    k_start = k_end
-                    t += h
-        else:
+                # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
+                h_mid = hamiltonian(0.5 * (a + b))
+                h_bytes = h_mid.tobytes()
+            shift = np.trace(h_mid).real / dim
+            k_const = eq.k_fix + 1j * shift * eye
+        if not rk4:
             from scipy.integrate import solve_ivp  # only this method needs scipy
 
             def f(t, v):
-                return eq.apply(minus_ih(t) + k_const, v.reshape(y.shape)).reshape(-1)
+                return eq.apply(-1j * hamiltonian(t) + k_const,
+                                v.reshape(y.shape)).reshape(-1)
             sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
                             rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
             if not sol.success:
                 raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
             y = sol.y[:, -1].reshape(y.shape)
+        elif stretch is not None:
+            key = (n, span_key, h_bytes)
+            if key != cached_key:
+                step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
+                cached_key, step_map = key, np.linalg.matrix_power(step, n)
+            y = (step_map @ y.reshape(-1)).reshape(y.shape)
+        else:
+            ks = -1j * hs + k_const
+            for j in range(0, 2 * n, 2):
+                s1 = eq.apply(ks[j], y)
+                s2 = eq.apply(ks[j + 1], y + 0.5 * h * s1)
+                s3 = eq.apply(ks[j + 1], y + 0.5 * h * s2)
+                s4 = eq.apply(ks[j + 2], y + h * s3)
+                y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
         phase += shift * span
         y = eq.settle(y)
         drift = eq.drift(y)

@@ -176,7 +176,7 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
     form -n ln n of psi psi†, n = |psi|^2, and its purity is 1.
     """
     t, data, (de, ds) = traj.times, traj.data, traj.dims
-    flux = np.array([drive.value(x) for x in t])
+    flux = drive.value(t)
 
     t0, t1 = drive.breakpoints
     v = np.empty((len(t), ds, ds), dtype=complex)

@@ -93,6 +93,13 @@ def test_flux_drive_schedule():
         FluxDrive(tr=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["A", "B", "t0", "tr"])
+def test_flux_drive_rejects_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        FluxDrive(**{name: bad})
+
+
 def test_ring_spectrum_frozen(model):
     np.testing.assert_allclose(model.ring_energies, RING_ENERGIES, atol=1e-9)
     # first ring transition resonant with one field quantum at the bias point
@@ -192,7 +199,20 @@ def test_static_hamiltonian_wrapper():
     assert sh.dim == 2
     assert sh.static_on(0.0, 1e9)
     np.testing.assert_array_equal(sh(3.7), h)
+    np.testing.assert_array_equal(sh(np.array([0.0, 1.0, 2.0])), [h, h, h])
     assert sh.breakpoints == ()
+
+
+def test_ramp_hamiltonian_on_an_array_of_times(model):
+    """An array of times gives the stack of the scalar calls, within the last bit
+    that np.cos may differ from math.cos in."""
+    drive = FluxDrive(t0=10.0, tr=4.0)
+    ham = RampHamiltonian(model, drive)
+    ts = np.array([0.0, 10.0, 11.0, 12.7, 14.0, 14.0 + 1e-9, 30.0])
+    stack = ham(ts)
+    assert stack.shape == (len(ts), model.dim, model.dim)
+    for t, h in zip(ts, stack):
+        np.testing.assert_allclose(h, ham(float(t)), rtol=0, atol=1e-14)
 
 
 def test_phi0_convention():

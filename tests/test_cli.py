@@ -139,6 +139,19 @@ def test_ramp_run_outputs(tmp_path, capsys):
     assert "plateau" in capsys.readouterr().out
 
 
+def test_default_ramp_matches_the_benchmark_reference(tmp_path):
+    """The default ramp agrees with the benchmark's seed-0 reference, which keeps
+    every 10th row of ramp.csv, within 1e-10 in every column of every kept row."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference/ramp/ramp.csv"
+    ref_header, ref_rows = read_csv(reference)
+    assert main(["ramp", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "ramp.csv")
+    assert header == ref_header
+    assert len(rows[::10]) == len(ref_rows)
+    deviation = np.abs(np.array(rows[::10], float) - np.array(ref_rows, float))
+    assert deviation.max() <= 1e-10
+
+
 def test_ramp_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["ramp", "--out", str(out1)] + SHORT_RAMP) == 0

@@ -16,6 +16,7 @@ from squidring.circuit import (
     ladder,
 )
 from squidring.dynamics import (
+    SAMPLE_DT,
     BathParams,
     IntegrationError,
     IntegratorConfig,
@@ -23,6 +24,7 @@ from squidring.dynamics import (
     QuantumState,
     evolve_lindblad,
     evolve_tdse,
+    _knots,
     thermal_occupation,
 )
 from squidring.linalg import hermitize
@@ -55,6 +57,15 @@ def test_bath_params():
         BathParams(gamma_e=-1.0)
     with pytest.raises(ValueError):
         _ = BathParams().mean_occupation  # omega_b unset
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["gamma_e", "gamma_s", "Tb", "omega_b"])
+def test_bath_params_reject_non_finite_values(name, bad):
+    """A NaN rate would otherwise be dropped from the collapse set, and the run
+    would be lossless."""
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        BathParams(**{name: bad})
 
 
 def test_quantum_state_validation():
@@ -273,3 +284,55 @@ def test_lindblad_trace_and_positivity_reported(model):
 def test_integration_error_is_runtime_error():
     assert issubclass(NormDriftError, IntegrationError)
     assert issubclass(IntegrationError, RuntimeError)
+
+
+def _knots_by_set(t_start, t_end, sample_dt, breakpoints):
+    """The knots and sample flags as they were built before the flags were
+    vectorised: one Python round and set lookup per knot."""
+    n = max(1, int(round((t_end - t_start) / sample_dt)))
+    samples = np.linspace(t_start, t_end, n + 1)
+    extra = [b for b in breakpoints if t_start < b < t_end]
+    knots = np.unique(np.concatenate([samples, np.asarray(extra)]))
+    sample_set = set(np.round(samples, 12))
+    return knots, np.array([round(k, 12) in sample_set for k in knots])
+
+
+@pytest.mark.parametrize("t_start, t_end, sample_dt, breakpoints", [
+    (0.0, 978.0, SAMPLE_DT, FluxDrive().breakpoints),                        # default ramp
+    (0.0, 978.0, SAMPLE_DT, FluxDrive(B=0.372687, tr=16.946).breakpoints),   # seed-1 drive
+    (0.0, 10.0, 0.5, (3.0, 4.5)),                                            # on samples
+    (0.0, 10.0, 0.5, (3.0 + 1e-13, 4.5 - 1e-13)),                            # 1e-13 off them
+    (1.0, 4.0, 0.1, (0.1 + 0.2 + 1.0, 1.7 - 4e-14)),                         # rounded sums
+    (0.0, 10.0, 10.0, (0.0, 10.0)),                                          # on the ends
+])
+def test_knot_flags_match_the_set_construction(t_start, t_end, sample_dt, breakpoints):
+    knots, flags = _knots(t_start, t_end, sample_dt, breakpoints)
+    want_knots, want_flags = _knots_by_set(t_start, t_end, sample_dt, breakpoints)
+    np.testing.assert_array_equal(knots, want_knots)
+    np.testing.assert_array_equal(flags, want_flags)
+
+
+def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
+    """A default-length ramp calls H once per constant stretch, on one time, and
+    once per ramp-window knot, on the stack of its 2n + 1 RK4 stage times; never
+    once per RK4 step."""
+    calls = []
+    real_call = RampHamiltonian.__call__
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return real_call(self, t)
+
+    monkeypatch.setattr(RampHamiltonian, "__call__", counted)
+    drive, t_end, dt = FluxDrive(), 3 * FluxDrive.t0, IntegratorConfig.dt
+    ham = RampHamiltonian(model, drive)
+    psi0 = np.zeros(model.dim, complex)
+    psi0[model.ds] = 1.0
+    evolve_tdse(QuantumState.pure(psi0, (model.de, model.ds)), ham, t_end)
+
+    knots, _ = _knots(0.0, t_end, SAMPLE_DT, drive.breakpoints)
+    window = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if not ham.static_on(a, b)]
+    assert len(window) == 34
+    assert calls.count(()) == 2  # the stretches before t0 and after t0 + tr
+    assert [shape for shape in calls if shape] == [
+        (2 * max(1, math.ceil((b - a) / dt)) + 1,) for a, b in window]

@@ -19,6 +19,7 @@ from squidring.circuit import (
     CircuitParams,
     ConvergenceError,
     FluxDrive,
+    RampHamiltonian,
     StaticHamiltonian,
     build_total,
     ladder,
@@ -26,8 +27,10 @@ from squidring.circuit import (
 )
 from squidring.dynamics import (
     BathParams,
+    IntegratorConfig,
     QuantumState,
     Trajectory,
+    _knots,
     evolve_lindblad,
     evolve_tdse,
 )
@@ -102,6 +105,110 @@ def test_static_tdse_is_matrix_exponential(system):
                        T_END, sample_dt=0.5)
     for t, psi in zip(traj.times, traj.data):
         assert np.max(np.abs(psi - expm(-1j * h * t) @ psi0)) < 1e-6
+
+
+def _scalar_schedule(drive, t):
+    """FluxDrive's documented schedule at one time, in plain Python."""
+    if t <= drive.t0:
+        return drive.A, 0.0
+    if t <= drive.t0 + drive.tr:
+        return drive.A + (drive.B - drive.A) * (t - drive.t0) / drive.tr, \
+            (drive.B - drive.A) / drive.tr
+    return drive.B, 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.3, 0.7), st.floats(0.3, 0.7), st.floats(0.0, 500.0),
+       st.floats(0.01, 30.0), st.lists(st.floats(-10.0, 600.0), max_size=20))
+def test_flux_drive_on_arrays_is_the_scalar_schedule(a, b, t0, tr, times):
+    """value and rate on an array of times equal the scalar calls, and the
+    documented piecewise schedule, elementwise and bit for bit: at random times,
+    at both breakpoints and one ulp either side of them."""
+    drive = FluxDrive(A=a, B=b, t0=t0, tr=tr)
+    edges = [t0, t0 + tr]
+    ts = np.array(times + edges + [np.nextafter(e, s) for e in edges for s in (-1, 1)])
+    values, rates = drive.value(ts), drive.rate(ts)
+    assert values.shape == rates.shape == ts.shape
+    for t, value, rate in zip(ts.tolist(), values.tolist(), rates.tolist()):
+        assert (value, rate) == (drive.value(t), drive.rate(t)) == _scalar_schedule(drive, t)
+    assert drive.rate(t0) == 0.0
+
+
+def _reference_evolution(apply, settle, k_fix, y, hamiltonian, t_start, t_end, sample_dt, dt):
+    """The fixed-step integrator written with one scalar H call per RK4 stage and
+    an accumulated time t += h, on every knot interval (the same knots and the
+    same mean-diagonal shift, taken at each interval's midpoint). The rate jumps
+    at the breakpoints, so an interval on which the drive is frozen takes its
+    midpoint H at every stage (its end t0 + tr belongs to the ramp), and an
+    interval's last stage is its end b itself (a t that rounds past b = t0 + tr
+    would take the rate after the ramp). Returns the samples, TDSE states with
+    the shift's phase restored."""
+    knots, is_sample = _knots(t_start, t_end, sample_dt, hamiltonian.breakpoints)
+    eye = np.eye(y.shape[0])
+    phase, out = 0.0, [y]
+    for a, b, sample in zip(knots[:-1], knots[1:], is_sample[1:]):
+        span = b - a
+        n = max(1, math.ceil(span / dt))
+        h = span / n
+        h_mid = hamiltonian(0.5 * (a + b))
+        shift = np.trace(h_mid).real / len(eye)
+        k_const = k_fix + 1j * shift * eye
+        frozen = hamiltonian.static_on(a, b)
+        t = a
+        for step in range(n):
+            end = t + h if step < n - 1 else b
+            k0, k1, k2 = (-1j * (h_mid if frozen else hamiltonian(s)) + k_const
+                          for s in (t, t + 0.5 * h, end))
+            s1 = apply(k0, y)
+            s2 = apply(k1, y + 0.5 * h * s1)
+            s3 = apply(k1, y + 0.5 * h * s2)
+            s4 = apply(k2, y + h * s3)
+            y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+            t += h
+        phase += shift * span
+        y = settle(y)
+        if sample:
+            out.append(np.exp(-1j * phase) * y if y.ndim == 1 else y)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.40, 0.45), st.floats(0.36, 0.40), st.floats(0.2, 2.0),
+       st.integers(1, 3), st.one_of(st.just(0.0), st.floats(0.01, 0.49)))
+def test_ramp_window_matches_per_step_rk4(model, equation, a, b, tr, t0_samples, offset):
+    """Through a random ramp, whose start t0 lies on the sample grid or off it,
+    the integrator (one stacked H per window knot, one step map per constant
+    stretch) stays within 1e-12 of per-step RK4 with scalar H calls."""
+    t0 = t0_samples * 0.5 + offset
+    drive = FluxDrive(A=a, B=b, t0=t0, tr=tr)
+    ham = RampHamiltonian(model, drive)
+    t_end = t0 + tr + 1.0
+    psi0 = np.zeros(model.dim, complex)
+    psi0[model.ds] = 1.0
+    state = QuantumState.pure(psi0, (model.de, model.ds))
+    dt = IntegratorConfig.dt
+    if equation == "tdse":
+        traj = evolve_tdse(state, ham, t_end, sample_dt=0.5)
+        want = _reference_evolution(lambda k, v: k @ v, lambda v: v, 0.0, psi0, ham,
+                                    0.0, t_end, 0.5, dt)
+    else:
+        gammas, ops = (1e-3, 2e-3), model.collapse_operators()
+        baths = BathParams(*gammas, Tb=4.2, omega_b=10 * KB * 4.2 / HBAR)
+        traj = evolve_lindblad(QuantumState.mixed(state.density(), state.dims), ham, baths,
+                               ops, t_end, sample_dt=0.5)
+        m = baths.mean_occupation
+        c = np.array([math.sqrt(g * (m + 1)) * op for g, op in zip(gammas, ops)]
+                     + [math.sqrt(g * m) * op.conj().T for g, op in zip(gammas, ops)])
+        c_dag = c.conj().transpose(0, 2, 1)
+
+        def apply(k, rho):
+            return k @ rho + rho @ k.conj().T + (c @ rho @ c_dag).sum(axis=0)
+
+        want = _reference_evolution(apply, hermitize, -0.5 * (c_dag @ c).sum(axis=0),
+                                    state.density(), ham, 0.0, t_end, 0.5, dt)
+    assert traj.data.shape == want.shape
+    assert np.max(np.abs(traj.data - want)) < 1e-12
 
 
 @st.composite
