@@ -150,12 +150,14 @@ class Trajectory:
 
 
 def _knots(t_start: float, t_end: float, sample_dt: float, breakpoints):
-    """Sorted integration knots = sample grid plus drive breakpoints."""
+    """Sorted integration knots = sample grid plus drive breakpoints, and which
+    knots are samples: exactly the n + 1 grid times, so a breakpoint next to a
+    sample is integrated to but not emitted."""
     n = max(1, int(round((t_end - t_start) / sample_dt)))
     samples = np.linspace(t_start, t_end, n + 1)
     extra = [b for b in breakpoints if t_start < b < t_end]
     knots = np.unique(np.concatenate([samples, np.asarray(extra)]))
-    return knots, np.isin(np.round(knots, 12), np.round(samples, 12))
+    return knots, np.isin(knots, samples)
 
 
 class _Schrodinger:

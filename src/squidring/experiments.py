@@ -28,11 +28,13 @@ from .circuit import (
     drive_coefficients,
     drive_terms,
     fock_ring_ops,
+    ring_pieces,
     truncate_to_eigenbasis,
 )
 from .dynamics import (
     SAMPLE_DT,
     BathParams,
+    IntegrationError,
     IntegratorConfig,
     QuantumState,
     Trajectory,
@@ -40,6 +42,7 @@ from .dynamics import (
     evolve_tdse,
 )
 from .observables import (
+    closed_form_average,
     closed_form_time_average,
     labeled_basis,
     record_columns,
@@ -175,6 +178,74 @@ def default_model(
     )
 
 
+class StaticAverages:
+    """Exact time averages at fixed bias fluxes, for one sweep's circuit and grid.
+
+    Everything that does not depend on the flux is built once: the
+    dimensionless groups, the pre_dim Fock ring operators and their pieces,
+    He on the product space and the sample grid. At each flux the ring is
+    re-diagonalized, so INITIAL_LABEL is local, and the averages are
+    time_averaged_energy's trapezoid rule on the sample grid of spacing
+    ~sample_dt, summed in closed form in the eigenbasis of H. A non-finite
+    average raises IntegrationError.
+    """
+
+    def __init__(self, params: CircuitParams, tau: float, sample_dt: float,
+                 de: int, ds: int, pre_dim: int):
+        self.groups = DimensionlessGroups.from_params(params)
+        self.de, self.ds = de, ds
+        self.ops = fock_ring_ops(pre_dim, self.groups.lambda_s)
+        self.pieces = ring_pieces(self.ops, self.groups)
+        self.h_e = np.kron(build_he(de, self.groups), np.eye(ds))
+        self.times = np.linspace(0.0, tau, max(3, int(round(tau / sample_dt)) + 1))
+        self._field: dict[float, float] = {}  # <<He>> per flux asked for one at a time
+
+    def _spectrum(self, phi: np.ndarray) -> tuple:
+        """(the ring in its ds lowest eigenstates, eigenvalues and eigenvectors of
+        H), one per flux of phi."""
+        coefficients = drive_coefficients(phi)
+        _, v = np.linalg.eigh(_combine(coefficients, self.pieces))
+        ring = self.ops.transformed(v[..., :self.ds])
+        w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, self.groups, self.de)))
+        return ring, w, v
+
+    def _amplitudes(self, v: np.ndarray, ops: np.ndarray) -> np.ndarray:
+        """closed_form_average's amplitudes of each of the (..., k, dim, dim)
+        operators ops in the initial state, in the eigenbasis v of H."""
+        ne, ms = INITIAL_LABEL
+        c = v[..., ne * self.ds + ms, :].conj()  # the initial state |ne, ms> in the eigenbasis
+        v = v[..., None, :, :]
+        return c.conj()[..., None, :, None] * (v.mT.conj() @ ops @ v) * c[..., None, None, :]
+
+    def averages(self, phi: np.ndarray) -> tuple:
+        """(<<He>>, <<Hs>>, conv_e, conv_s), one array entry per flux of phi."""
+        ring, w, v = self._spectrum(phi)
+        h_s = np.kron(np.eye(self.de), build_hs(ring, self.groups, phi))
+        ops_es = np.stack([np.broadcast_to(self.h_e, h_s.shape), h_s], axis=-3)
+        avg, converged = closed_form_time_average(self.times, w[..., None, :],
+                                                  self._amplitudes(v, ops_es))
+        _check_finite(phi, avg)
+        return avg[:, 0], avg[:, 1], converged[:, 0], converged[:, 1]
+
+    def field_average(self, phi: float) -> float:
+        """<<He>> alone at one flux, with the bits of averages' first entry there,
+        and without <<Hs>> or the half-span average; each flux is solved once."""
+        if phi not in self._field:
+            phis = np.array([phi])  # a float would take math.cos, not the grid's np.cos
+            _, w, v = self._spectrum(phis)
+            avg = closed_form_average(self.times, w[..., None, :], self._amplitudes(v, self.h_e))
+            _check_finite(phis, avg)
+            self._field[phi] = float(avg[0, 0])
+        return self._field[phi]
+
+
+def _check_finite(phi: np.ndarray, avg: np.ndarray) -> None:
+    bad = ~np.isfinite(avg).all(axis=-1)
+    if bad.any():
+        raise IntegrationError(f"non-finite static time average at phi_x = "
+                               f"{', '.join(format(f, '.17g') for f in phi[bad])} Phi0")
+
+
 def _static_averages(
     params: CircuitParams,
     phi_x: float | np.ndarray,
@@ -184,33 +255,13 @@ def _static_averages(
     ds: int,
     pre_dim: int,
 ) -> tuple:
-    """Exact evolution at fixed flux; returns (<<He>>, <<Hs>>, conv_e, conv_s).
-
-    The ring is re-diagonalized at this flux so INITIAL_LABEL is local.
-    The averages are time_averaged_energy's trapezoid rule on the sample grid
-    of spacing ~sample_dt, summed in closed form in the eigenbasis of H.
-    For a 1-D array of fluxes the four entries are arrays, one value per flux,
-    from one batched pass; each value has the bits of the single-flux call.
-    """
-    phi = np.atleast_1d(np.asarray(phi_x, dtype=float))
-    groups = DimensionlessGroups.from_params(params)
-    ops = fock_ring_ops(pre_dim, groups.lambda_s)
-    _, v = np.linalg.eigh(build_hs(ops, groups, phi))
-    ring = ops.transformed(v[..., :ds])
-    w, v = np.linalg.eigh(_combine(drive_coefficients(phi), drive_terms(ring, groups, de)))
-    ne, ms = INITIAL_LABEL
-    c = v[..., ne * ds + ms, :].conj()  # the initial state |ne, ms> in the eigenbasis
-    h_e = np.kron(build_he(de, groups), np.eye(ds))
-    h_s = np.kron(np.eye(de), build_hs(ring, groups, phi))
-    ops_es = np.stack([np.broadcast_to(h_e, h_s.shape), h_s], axis=-3)
-    v = v[..., None, :, :]
-    amplitudes = (c.conj()[..., None, :, None] * (v.mT.conj() @ ops_es @ v)
-                  * c[..., None, None, :])
-    ts = np.linspace(0.0, tau, max(3, int(round(tau / sample_dt)) + 1))
-    avg, converged = closed_form_time_average(ts, w[..., None, :], amplitudes)
+    """StaticAverages.averages at one flux, giving floats and bools, or at a 1-D
+    array of fluxes; each value has the bits of the single-flux call."""
+    columns = StaticAverages(params, tau, sample_dt, de, ds, pre_dim).averages(
+        np.atleast_1d(np.asarray(phi_x, dtype=float)))
     if np.ndim(phi_x) == 0:
-        return float(avg[0, 0]), float(avg[0, 1]), bool(converged[0, 0]), bool(converged[0, 1])
-    return avg[:, 0], avg[:, 1], converged[:, 0], converged[:, 1]
+        return tuple(column.item() for column in columns)
+    return columns
 
 
 def _fminbound(func, lo: float, hi: float, xatol: float = 1e-5,
@@ -344,15 +395,12 @@ def _zeroin(func, a: float, b: float, xtol: float = 1e-5,
                        f"value is {xcur}")
 
 
-def _detect_regions(cfg: SweepConfig, params: CircuitParams, grid: np.ndarray,
-                    avg_e: np.ndarray, baseline: float,
-                    de: int, ds: int, pre_dim: int) -> list[ExchangeRegion]:
-    """Local minima of <<He>> dipping more than DIP_THRESHOLD below baseline."""
+def _detect_regions(cfg: SweepConfig, grid: np.ndarray, avg_e: np.ndarray,
+                    baseline: float, point_avg) -> list[ExchangeRegion]:
+    """Local minima of <<He>> dipping more than DIP_THRESHOLD below baseline;
+    point_avg(phi) is <<He>> at one flux, for the refinement."""
     dip = baseline - avg_e
     spacing = grid[1] - grid[0]
-
-    def point_avg(phi: float) -> float:
-        return _static_averages(params, phi, cfg.tau, cfg.sample_dt, de, ds, pre_dim)[0]
 
     regions = []
     for k in range(len(grid)):
@@ -391,16 +439,14 @@ def run_sweep(
     pre_dim: int = 40,
 ) -> SweepResult:
     """Time-averaged component energies vs static bias flux, plus exchange regions."""
-    params = params or CircuitParams()
+    static = StaticAverages(params or CircuitParams(), cfg.tau, cfg.sample_dt, de, ds, pre_dim)
     grid = cfg.grid
-    blocks = [_static_averages(params, grid[i:i + SWEEP_BLOCK], cfg.tau, cfg.sample_dt,
-                               de, ds, pre_dim)
-              for i in range(0, len(grid), SWEEP_BLOCK)]
+    blocks = [static.averages(grid[i:i + SWEEP_BLOCK]) for i in range(0, len(grid), SWEEP_BLOCK)]
     avg_e, avg_s, conv_e, conv_s = (np.concatenate(column) for column in zip(*blocks))
     records = {"phi_x": grid, "avg_E_e": avg_e, "avg_E_s": avg_s, "converged": conv_e & conv_s}
     ne, _ = INITIAL_LABEL
-    baseline = (ne + 0.5) * DimensionlessGroups.from_params(params).omega_ratio
-    regions = _detect_regions(cfg, params, grid, avg_e, baseline, de, ds, pre_dim)
+    baseline = (ne + 0.5) * static.groups.omega_ratio
+    regions = _detect_regions(cfg, grid, avg_e, baseline, static.field_average)
     return SweepResult(records=records, regions=regions, baseline=baseline)
 
 

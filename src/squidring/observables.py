@@ -86,34 +86,40 @@ def _trapezoid_phase_sums(theta: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-1j * n * half) * dirichlet - 0.5 * (1 + np.exp(-1j * n * theta))
 
 
-def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
-                             amplitudes: np.ndarray,
-                             rel_tol: float = 0.01,
-                             ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
-    """time_averaged_energy of E(t) = sum_kl amplitudes[k, l] exp(-i (energies[l] -
-    energies[k]) t) on the uniform grid `times`, without sampling E(t).
+def closed_form_average(times: np.ndarray, energies: np.ndarray, amplitudes: np.ndarray,
+                        m: int | None = None) -> np.ndarray:
+    """Trapezoid average over times[:m + 1] (the whole grid by default) of
+    E(t) = sum_kl amplitudes[k, l] exp(-i (energies[l] - energies[k]) t) on the
+    uniform grid `times`, without sampling E(t).
 
     Each exponential's trapezoid sum is a geometric series, so the cost does not
     grow with the number of samples. `amplitudes` is Hermitian (E is real); the
     grid starts at t = 0 and resolves every gap: |energies[l] - energies[k]| *
     step < 2 pi. Stacks broadcast: energies (..., n) and amplitudes (..., n, n)
-    give arrays of averages and flags, and the trapezoid sums are taken once for
-    all amplitudes that share a spectrum.
+    give an array of averages, and the trapezoid sums are taken once for all
+    amplitudes that share a spectrum.
     """
     times = np.asarray(times, float)
     n = times.size - 1
     if n < 1 or times[0] != 0:
         raise ValueError("need at least two samples, starting at t = 0")
+    m = n if m is None else m
     step = times[-1] / n
     theta = (energies[..., None, :] - energies[..., :, None]) * step
+    total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m), axis=(-2, -1)).real
+    return total * step / times[m]
 
-    def average(m: int) -> np.ndarray:  # over times[:m + 1]
-        total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m), axis=(-2, -1)).real
-        return total * step / times[m]
 
-    avg = average(n)
+def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
+                             amplitudes: np.ndarray,
+                             rel_tol: float = 0.01,
+                             ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
+    """time_averaged_energy of E(t) as closed_form_average takes it: the average
+    over the whole grid, and whether it agrees with the first half's."""
+    times = np.asarray(times, float)
+    avg = closed_form_average(times, energies, amplitudes)
     k = np.searchsorted(times, times[-1] / 2, side="right")
-    avg_half = average(k - 1)
+    avg_half = closed_form_average(times, energies, amplitudes, k - 1)
     converged = np.abs(avg - avg_half) / np.maximum(np.abs(avg), 1e-30) < rel_tol
     if avg.ndim == 0:
         return float(avg), bool(converged)

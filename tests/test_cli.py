@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import squidring
+from squidring import experiments
 from squidring.cli import main
 from squidring.observables import RECORD_COLUMNS
 
@@ -291,6 +292,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     diag = out / "diagnostic.txt"
     assert diag.exists()
     assert "NormDriftError" in diag.read_text()
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_sweep_average_exits_3(tmp_path, monkeypatch, capsys):
+    """A NaN static average fails the sweep with a diagnostic and no data file
+    or summary, rather than a region of depth nan."""
+    real_spectrum = experiments.StaticAverages._spectrum
+
+    def spectrum(self, phi):
+        ring, w, v = real_spectrum(self, phi)
+        return ring, np.full_like(w, np.nan), v
+
+    monkeypatch.setattr(experiments.StaticAverages, "_spectrum", spectrum)
+    out = tmp_path / "nan"
+    assert main(["sweep", "--out", str(out), "--set", "sweep.points=5",
+                 "--set", "sweep.tau=200"]) == 3
+    assert "IntegrationError: non-finite static time average" in (
+        out / "diagnostic.txt").read_text()
+    assert not (out / "sweep.csv").exists() and not (out / "summary.txt").exists()
     assert "numerical failure" in capsys.readouterr().err
 
 

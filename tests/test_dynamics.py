@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from squidring.circuit import (
@@ -27,6 +29,7 @@ from squidring.dynamics import (
     _knots,
     thermal_occupation,
 )
+from squidring.experiments import RampConfig, run_ramp
 from squidring.linalg import hermitize
 
 OMEGA_S = CircuitParams().omega_s
@@ -297,19 +300,50 @@ def _knots_by_set(t_start, t_end, sample_dt, breakpoints):
     return knots, np.array([round(k, 12) in sample_set for k in knots])
 
 
+NEAR_SAMPLES = (3.0 + 1e-13, 4.5 - 1e-13)
+ROUNDED_SUMS = (0.1 + 0.2 + 1.0, 1.7 - 4e-14)  # the first is the sample 1.3 bit for bit
+# Breakpoints near a sample but not on it. The set construction flags them as
+# samples too, so that sample time was emitted twice; they are knots only.
+OFF_SAMPLES = {NEAR_SAMPLES: NEAR_SAMPLES, ROUNDED_SUMS: (1.7 - 4e-14,)}
+
+
 @pytest.mark.parametrize("t_start, t_end, sample_dt, breakpoints", [
     (0.0, 978.0, SAMPLE_DT, FluxDrive().breakpoints),                        # default ramp
     (0.0, 978.0, SAMPLE_DT, FluxDrive(B=0.372687, tr=16.946).breakpoints),   # seed-1 drive
     (0.0, 10.0, 0.5, (3.0, 4.5)),                                            # on samples
-    (0.0, 10.0, 0.5, (3.0 + 1e-13, 4.5 - 1e-13)),                            # 1e-13 off them
-    (1.0, 4.0, 0.1, (0.1 + 0.2 + 1.0, 1.7 - 4e-14)),                         # rounded sums
+    (0.0, 10.0, 0.5, NEAR_SAMPLES),                                          # 1e-13 off them
+    (1.0, 4.0, 0.1, ROUNDED_SUMS),                                           # rounded sums
     (0.0, 10.0, 10.0, (0.0, 10.0)),                                          # on the ends
 ])
 def test_knot_flags_match_the_set_construction(t_start, t_end, sample_dt, breakpoints):
     knots, flags = _knots(t_start, t_end, sample_dt, breakpoints)
     want_knots, want_flags = _knots_by_set(t_start, t_end, sample_dt, breakpoints)
+    if breakpoints in OFF_SAMPLES:
+        want_flags = want_flags & ~np.isin(want_knots, OFF_SAMPLES[breakpoints])
     np.testing.assert_array_equal(knots, want_knots)
     np.testing.assert_array_equal(flags, want_flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 50.0), st.floats(0.05, 50.0), st.floats(0.01, 5.0),
+       st.lists(st.floats(-10.0, 110.0), max_size=4))
+def test_knot_flags_are_exactly_the_samples(t_start, span, sample_dt, breakpoints):
+    """Whatever the breakpoints, the flagged knots are the n + 1 grid samples,
+    bit for bit and in order, and every knot is a sample or a breakpoint."""
+    t_end = t_start + span
+    knots, flags = _knots(t_start, t_end, sample_dt, breakpoints)
+    n = max(1, int(round((t_end - t_start) / sample_dt)))
+    np.testing.assert_array_equal(knots[flags], np.linspace(t_start, t_end, n + 1))
+    assert set(knots[~flags].tolist()) <= set(breakpoints)
+    assert np.all(np.diff(knots) > 0)
+
+
+def test_ramp_near_a_sample_emits_each_sample_once(model):
+    """A ramp starting 1e-13 after a sample time gives the same 21 records as one
+    starting on it, with no time emitted twice."""
+    for t0 in (3.0, 3.0 + 1e-13):
+        t = run_ramp(RampConfig(t0=t0, tr=1.5, t_end=10.0), model).records["t"]
+        np.testing.assert_array_equal(t, np.linspace(0.0, 10.0, 21))
 
 
 def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):

@@ -5,6 +5,8 @@ only add short bespoke runs.
 """
 import math
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +15,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 import squidring as sq
-from squidring import experiments
+from squidring import circuit, experiments, observables
 from squidring.circuit import CircuitParams, StaticHamiltonian, build_he, build_total
-from squidring.dynamics import QuantumState, evolve_tdse
-from squidring.experiments import _fminbound, _static_averages, _zeroin
+from squidring.dynamics import IntegrationError, QuantumState, evolve_tdse
+from squidring.experiments import (
+    StaticAverages,
+    _detect_regions,
+    _fminbound,
+    _static_averages,
+    _zeroin,
+)
 from squidring.observables import labeled_basis, time_averaged_energy
 
 BIAS = 0.42864
@@ -259,3 +267,96 @@ def test_sweep_is_blocked_without_per_point_models(monkeypatch):
         tracemalloc.stop()
     assert len(result.records["phi_x"]) == cfg.points == 201
     assert peak < cfg.points * 40 * 40 * np.dtype(complex).itemsize
+
+
+def test_default_sweep_regions_are_pinned(full_sweep):
+    """The default sweep's refined twin regions, bit for bit as they were when
+    each refinement step still took the full static pass at its flux."""
+    assert [(r.center.hex(), r.width.hex(), r.depth.hex()) for r in full_sweep.regions] == [
+        ("0x1.b6edca90c05adp-2", "0x1.78aefac859a00p-11", "0x1.0b96ded0df84fp-1"),
+        ("0x1.24891ab79fd2bp-1", "0x1.78aefac85a400p-11", "0x1.0b96ded0df2efp-1"),
+    ]
+
+
+def test_refinement_solves_each_flux_once(monkeypatch):
+    """The default sweep builds the pre_dim ring pieces once, asks for <<He>> at 54
+    fluxes while refining but solves the 50 distinct ones once each, and takes
+    two trapezoid phase sums per grid block but one per refined flux."""
+    counts = Counter()
+    fluxes = []
+
+    def counted(name, fn, record=lambda *args: True):
+        def wrapper(*args):
+            if record(*args):
+                counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(observables, "_trapezoid_phase_sums",
+                        counted("phase sums", observables._trapezoid_phase_sums))
+    pre_dim_ring = counted("pre_dim ring pieces", circuit.ring_pieces,
+                           lambda ops, groups: ops.flux.shape[-1] == 40)
+    monkeypatch.setattr(circuit, "ring_pieces", pre_dim_ring)
+    monkeypatch.setattr(experiments, "ring_pieces", pre_dim_ring)
+    monkeypatch.setattr(experiments, "closed_form_average",
+                        counted("<<He>> solves", experiments.closed_form_average))
+    real_field = StaticAverages.field_average
+
+    def field_average(self, phi):
+        fluxes.append(phi)
+        return real_field(self, phi)
+
+    monkeypatch.setattr(StaticAverages, "field_average", field_average)
+    experiments.run_sweep(sq.SweepConfig())
+    assert (len(fluxes), len(set(fluxes))) == (54, 50)
+    assert counts == {"<<He>> solves": 50, "phase sums": 2 * 26 + 50,  # 201 fluxes, blocks of 8
+                      "pre_dim ring pieces": 1}
+
+
+def _poison(monkeypatch, poisoned):
+    """Make the evaluator's spectrum NaN at every flux where poisoned(phi) holds."""
+    real_spectrum = StaticAverages._spectrum
+
+    def spectrum(self, phi):
+        ring, w, v = real_spectrum(self, phi)
+        w = np.where(poisoned(phi)[:, None], np.nan, w)
+        return ring, w, v
+
+    monkeypatch.setattr(StaticAverages, "_spectrum", spectrum)
+
+
+def test_non_finite_grid_average_raises(monkeypatch):
+    cfg = sq.SweepConfig(phi_min=0.41, phi_max=0.45, points=21, refine=False)
+    _poison(monkeypatch, lambda phi: phi == cfg.grid[7])
+    with pytest.raises(IntegrationError, match="non-finite static time average"):
+        experiments.run_sweep(cfg)
+
+
+def test_non_finite_refinement_average_raises(monkeypatch):
+    """A NaN <<He>> at a refinement step is not a missed bracket or a failed
+    comparison: the sweep fails instead of reporting a region of depth nan."""
+    cfg = sq.SweepConfig(phi_min=0.41, phi_max=0.45, points=21)
+    _poison(monkeypatch, lambda phi: ~np.isin(phi, cfg.grid))
+    # the grid alone never meets the poisoned fluxes
+    assert len(experiments.run_sweep(replace(cfg, refine=False)).regions) == 1
+    with pytest.raises(IntegrationError, match="non-finite static time average"):
+        experiments.run_sweep(cfg)
+
+
+def _dip(center, width):
+    """<<He>> with a Gaussian dip of depth 0.5 below the baseline 1.5."""
+    return lambda phi: 1.5 - 0.5 * np.exp(-((phi - center) / width) ** 2)
+
+
+def test_half_depth_not_bracketed_keeps_grid_spacing():
+    """A dip still deeper than half at two grid spacings from its refined centre
+    keeps the grid spacing as its width; a narrow one gets its full width at half
+    depth, 2 sqrt(ln 2) times the Gaussian width."""
+    cfg = sq.SweepConfig(phi_min=0.40, phi_max=0.50, points=11)
+    grid = cfg.grid
+    broad, narrow = _dip(0.453, 0.1), _dip(0.453, 0.01)
+    for f, want_width in ((broad, grid[1] - grid[0]), (narrow, 0.02 * math.sqrt(math.log(2)))):
+        [region] = _detect_regions(cfg, grid, f(grid), 1.5, lambda phi: float(f(phi)))
+        assert region.center == pytest.approx(0.453, abs=1e-4)
+        assert region.depth == pytest.approx(0.5, abs=1e-6)
+        assert region.width == pytest.approx(want_width, abs=1e-4)

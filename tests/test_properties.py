@@ -34,7 +34,13 @@ from squidring.dynamics import (
     evolve_lindblad,
     evolve_tdse,
 )
-from squidring.experiments import RampConfig, _static_averages, default_model, run_ramp
+from squidring.experiments import (
+    RampConfig,
+    StaticAverages,
+    _static_averages,
+    default_model,
+    run_ramp,
+)
 from squidring.linalg import PositivityError, hermitize
 from squidring.observables import (
     RECORD_COLUMNS,
@@ -326,6 +332,18 @@ def test_static_averages_stack_is_per_point(fluxes, mu_es):
                         (np.kron(np.eye(4), model.ring_hamiltonian(phi)), avg_s)):
             amplitudes = c.conj()[:, None] * (v.conj().T @ op @ v) * c
             assert abs(got - closed_form_time_average(ts, w, amplitudes)[0]) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(0.30, 0.70), min_size=1, max_size=4), st.floats(0.008, 0.012))
+def test_field_average_is_the_static_average(fluxes, mu_es):
+    """The refinement's <<He>>-only path has the bits of the full static pass's
+    <<He>> at every flux, also when a flux is asked for again."""
+    params = CircuitParams(mu_es=mu_es)
+    grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
+    static = StaticAverages(params, **grid)
+    for phi in fluxes + fluxes[:1]:
+        assert static.field_average(phi).hex() == _static_averages(params, phi, **grid)[0].hex()
 
 
 @st.composite
