@@ -6,7 +6,6 @@ diagnostic file is written next to the outputs in that case).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -32,17 +31,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_column(values: np.ndarray) -> tuple[list, str]:
+    """A column's cells and their % conversion, which together print as _fmt does."""
+    if values.dtype == bool:
+        return np.where(values, "true", "false").tolist(), "%s"
+    return values.tolist(), f"%{NUMERIC_FMT}" if values.dtype.kind == "f" else "%s"
+
+
 def _write_rows(path: Path, records: dict, fmt: str) -> None:
-    """One data file: a column per key of records (one array each), a row per sample."""
+    """One data file: a column per key of records (one array each), a row per sample.
+    A CSV row is one % template with csv's "\r\n" line end."""
     columns = list(records)
-    rows = zip(*(records[c].tolist() for c in columns))  # plain Python floats and bools
     if fmt == "csv":
+        cells, conversions = zip(*(_csv_column(records[c]) for c in columns))
+        template = ",".join(conversions) + "\r\n"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(template % row for row in zip(*cells))
     else:
+        rows = zip(*(records[c].tolist() for c in columns))  # plain Python floats and bools
         with path.open("w") as fh:
             for row in rows:
                 fh.write(json.dumps(dict(zip(columns, row))) + "\n")

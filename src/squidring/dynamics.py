@@ -29,6 +29,7 @@ from .linalg import PositivityError, hermitize
 NORM_ABORT = 1e-6
 TRACE_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-6
+EIG_BLOCK = 256  # density samples per stacked eigvalsh in the positivity check
 
 SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
 RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp raises a smaller rtol to this, only warning
@@ -152,16 +153,19 @@ class Trajectory:
 def _knots(t_start: float, t_end: float, sample_dt: float, breakpoints):
     """Sorted integration knots = sample grid plus drive breakpoints, and which
     knots are samples: exactly the n + 1 grid times, so a breakpoint next to a
-    sample is integrated to but not emitted."""
+    sample is integrated to but not emitted. (A sort and a searchsorted, not
+    np.unique and np.isin, which import numpy.ma.)"""
     n = max(1, int(round((t_end - t_start) / sample_dt)))
     samples = np.linspace(t_start, t_end, n + 1)
     extra = [b for b in breakpoints if t_start < b < t_end]
-    knots = np.unique(np.concatenate([samples, np.asarray(extra)]))
-    return knots, np.isin(knots, samples)
+    knots = np.sort(np.concatenate([samples, np.asarray(extra, dtype=float)]))
+    knots = knots[np.concatenate(([True], np.diff(knots) != 0))]
+    return knots, samples[np.minimum(np.searchsorted(samples, knots), n)] == knots
 
 
 class _Schrodinger:
-    """dpsi/dt = K psi on the state vector, K = -i (H - shift)."""
+    """dpsi/dt = K psi on the state vector, K = -i (H - shift). `drift`,
+    `lowest_eigenvalue` and `emit` act on a stack of states."""
 
     drift_name, abort = "TDSE norm", NORM_ABORT
 
@@ -177,20 +181,27 @@ class _Schrodinger:
     def settle(self, psi):
         return psi
 
-    def emit(self, psi, phase):
-        return np.exp(-1j * phase) * psi
+    def step(self, m, psi):
+        """One application of a dense step map."""
+        return m @ psi
 
-    def drift(self, psi):
-        return abs(np.linalg.norm(psi) - 1.0)
+    def emit(self, psis, phases):
+        """Restore, in place, the global phase the shift removed (phase factor
+        as the left operand: the product's bits depend on the order)."""
+        np.multiply(np.exp(-1j * phases)[:, None], psis, out=psis)
 
-    def lowest_eigenvalue(self, psi):
-        return 0.0  # psi psi† is positive by construction
+    def drift(self, psis):
+        return np.abs(np.linalg.norm(psis, axis=1) - 1.0)
+
+    def lowest_eigenvalue(self, psis):
+        return np.zeros(len(psis))  # psi psi† is positive by construction
 
 
 class _Master:
     """drho/dt = K rho + rho K† + sum_j c_j rho c_j† on the density matrix, with
     K = -i (H - shift) - 1/2 sum_j c_j† c_j. The dense form acts on row-major
-    vec(rho); the shift cancels from it exactly."""
+    vec(rho); the shift cancels from it exactly. `drift`, `lowest_eigenvalue`
+    and `emit` act on a stack of density matrices."""
 
     drift_name, abort = "Lindblad trace", TRACE_ABORT
 
@@ -212,14 +223,22 @@ class _Master:
     def settle(self, rho):
         return hermitize(rho)
 
-    def emit(self, rho, phase):
-        return rho
+    def step(self, m, rho):
+        """One application of a dense step map to vec(rho), then settle."""
+        return self.settle((m @ rho.reshape(-1)).reshape(rho.shape))
 
-    def drift(self, rho):
-        return abs(np.trace(rho).real - 1.0)
+    def emit(self, rhos, phases):
+        pass
 
-    def lowest_eigenvalue(self, rho):
-        return float(np.linalg.eigvalsh(rho).min())
+    def drift(self, rhos):
+        return np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+
+    def lowest_eigenvalue(self, rhos):
+        """One stacked eigvalsh per block of EIG_BLOCK samples."""
+        w_min = np.empty(len(rhos))
+        for k in range(0, len(rhos), EIG_BLOCK):
+            w_min[k:k + EIG_BLOCK] = np.linalg.eigvalsh(rhos[k:k + EIG_BLOCK]).min(axis=1)
+        return w_min
 
 
 def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
@@ -233,6 +252,27 @@ def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
+def _check(eq, times, states, are_samples: bool) -> tuple[float, float]:
+    """Abort checks on a stack of consecutive knot states: drift and
+    finiteness of each, and positivity of each if they are samples. Raises at
+    the first failing knot, drift before positivity, as a check after every
+    knot would. Returns the max drift and the min lowest eigenvalue (1.0 when
+    no sample was checked)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = eq.drift(states)
+    bad = ~(drift <= eq.abort)  # a non-finite state fails this test as well
+    stop = int(bad.argmax()) if bad.any() else len(states)
+    w_min = eq.lowest_eigenvalue(states[:stop]) if are_samples else np.zeros(0)
+    negative = w_min < -POSITIVITY_ABORT
+    if negative.any():
+        k = int(negative.argmax())
+        raise PositivityError(f"density matrix eigenvalue {w_min[k]:.3e} at t = {times[k]:.3f}")
+    if stop < len(states):
+        raise NormDriftError(f"{eq.drift_name} drift {drift[stop]:.3e} "
+                             f"at t = {times[stop]:.3f}")
+    return float(drift.max(initial=0.0)), float(w_min.min(initial=1.0))
+
+
 def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     """Integrate dy/dt = G(t) y from t_start, with G built by `eq` from
     K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
@@ -241,18 +281,25 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     steps across a knot. Consecutive knots on which `static_on` holds from the
     first of them form one constant-H stretch: H is taken once, at the midpoint
     of its first knot interval, and each knot applies the RK4 step map to the
-    power n, cached for the last (n, span, H). Every other knot is a window
-    knot: its n RK4 steps index one stack of K at the 2n + 1 stage times
-    a + j h/2 (the last one b itself), built by a single call of the
-    Hamiltonian on an array of times (or, for a plain callable, by one call per
-    time). H is shifted by its mean diagonal at the stretch's or knot's
-    midpoint (`shift`; the TDSE phase it removes is restored on output). The
-    adaptive method instead calls H per evaluation and takes a window knot's
-    shift from a midpoint call. Drift and finiteness are checked at every knot,
-    the lowest eigenvalue at every sample, and each sample is written into one
-    preallocated array.
+    power n, cached for the last (n, span, H). A run of such knots that share
+    the cached map, all samples but possibly the last, is advanced in one tight
+    loop of one matrix-vector product per knot, each sample written straight
+    into the output array; its checks and TDSE phases are then applied to the
+    whole run at once. Every other knot is a window knot: its n RK4 steps
+    index one stack of K at the 2n + 1 stage times a + j h/2 (the last one b
+    itself), built by a single call of the Hamiltonian on an array of times
+    (or, for a plain callable, by one call per time). H is shifted by its mean
+    diagonal at the stretch's or knot's midpoint (`shift`; the TDSE phase it
+    removes is restored on output). The adaptive method instead calls H per
+    evaluation and takes a window knot's shift from a midpoint call. Drift and
+    finiteness are checked at every knot and the lowest eigenvalue at every
+    sample (`_check`), and the first failure raises.
     Returns (times, samples, max drift, min eigenvalue).
     """
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end >= t_start):
+        raise ValueError(f"t_end must be a finite time >= t_start = {t_start!r}, got {t_end!r}")
+    if not 0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be a positive finite number, got {sample_dt!r}")
     cfg = config or IntegratorConfig()
     rk4 = cfg.method == "rk4"
     breakpoints = getattr(hamiltonian, "breakpoints", ())
@@ -274,11 +321,13 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     cached_key, step_map = None, None
 
     spans = np.diff(knots)
-    for a, b, span, span_key, sample in zip(knots[:-1].tolist(), knots[1:].tolist(),
-                                            spans.tolist(), np.round(spans, 12).tolist(),
-                                            is_sample[1:].tolist()):
-        n = max(1, int(math.ceil(span / cfg.dt)))
-        h = span / n
+    steps = np.maximum(1, np.ceil(spans / cfg.dt)).astype(int)
+    keys = list(zip(steps.tolist(), np.round(spans, 12).tolist()))
+    times, sample = knots.tolist(), is_sample.tolist()
+    i = 0
+    while i < len(keys):
+        a, b, n = times[i], times[i + 1], keys[i][0]
+        h = (b - a) / n
         if stretch is None or not static_on(stretch, b):
             stretch = a if static_on(a, b) else None
             if stretch is None and rk4:
@@ -292,45 +341,53 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                 h_bytes = h_mid.tobytes()
             shift = np.trace(h_mid).real / dim
             k_const = eq.k_fix + 1j * shift * eye
-        if not rk4:
-            from scipy.integrate import solve_ivp  # only this method needs scipy
+        j = i + 1  # this pass advances knots i + 1 .. j
+        if rk4 and stretch is not None:
+            while (j < len(keys) and sample[j] and keys[j] == keys[i]
+                   and static_on(stretch, times[j + 1])):
+                j += 1
+        rows = out[emitted:emitted + j - i - (not sample[j])]  # the samples among them
+        with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
+            if not rk4:
+                from scipy.integrate import solve_ivp  # only this method needs scipy
 
-            def f(t, v):
-                return eq.apply(-1j * hamiltonian(t) + k_const,
-                                v.reshape(y.shape)).reshape(-1)
-            sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
-                            rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
-            if not sol.success:
-                raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
-            y = sol.y[:, -1].reshape(y.shape)
-        elif stretch is not None:
-            key = (n, span_key, h_bytes)
-            if key != cached_key:
-                step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
-                cached_key, step_map = key, np.linalg.matrix_power(step, n)
-            y = (step_map @ y.reshape(-1)).reshape(y.shape)
-        else:
-            ks = -1j * hs + k_const
-            for j in range(0, 2 * n, 2):
-                s1 = eq.apply(ks[j], y)
-                s2 = eq.apply(ks[j + 1], y + 0.5 * h * s1)
-                s3 = eq.apply(ks[j + 1], y + 0.5 * h * s2)
-                s4 = eq.apply(ks[j + 2], y + h * s3)
-                y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-        phase += shift * span
-        y = eq.settle(y)
-        drift = eq.drift(y)
-        # a non-finite state fails this test as well
-        if not drift <= eq.abort:
-            raise NormDriftError(f"{eq.drift_name} drift {drift:.3e} at t = {b:.3f}")
-        max_drift = max(max_drift, drift)
-        if sample:
-            w_min = eq.lowest_eigenvalue(y)
-            min_eig = min(min_eig, w_min)
-            if w_min < -POSITIVITY_ABORT:
-                raise PositivityError(f"density matrix eigenvalue {w_min:.3e} at t = {b:.3f}")
-            out[emitted] = eq.emit(y, phase)
-            emitted += 1
+                def f(t, v):
+                    return eq.apply(-1j * hamiltonian(t) + k_const,
+                                    v.reshape(y.shape)).reshape(-1)
+                sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
+                                rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
+                if not sol.success:
+                    raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
+                y = eq.settle(sol.y[:, -1].reshape(y.shape))
+                rows[:] = y
+            elif stretch is not None:
+                key = keys[i] + (h_bytes,)
+                if key != cached_key:
+                    step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
+                    cached_key, step_map = key, np.linalg.matrix_power(step, n)
+                for k in range(j - i):
+                    y = eq.step(step_map, y)
+                    if k < len(rows):
+                        rows[k] = y
+            else:
+                ks = -1j * hs + k_const
+                for s in range(0, 2 * n, 2):
+                    s1 = eq.apply(ks[s], y)
+                    s2 = eq.apply(ks[s + 1], y + 0.5 * h * s1)
+                    s3 = eq.apply(ks[s + 1], y + 0.5 * h * s2)
+                    s4 = eq.apply(ks[s + 2], y + h * s3)
+                    y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+                y = eq.settle(y)
+                rows[:] = y
+        drift, w_min = _check(eq, knots[i + 1:j + 1], rows, True)
+        if not sample[j]:
+            drift = max(drift, _check(eq, knots[j:j + 1], y[None], False)[0])
+        max_drift, min_eig = max(max_drift, drift), min(min_eig, w_min)
+        phases = np.cumsum(np.concatenate(([phase], shift * spans[i:j])))[1:]
+        eq.emit(rows, phases[:len(rows)])
+        phase = phases[-1]
+        emitted += len(rows)
+        i = j
 
     return knots[is_sample], out, max_drift, min_eig
 

@@ -2,6 +2,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squidring
 from squidring import experiments
-from squidring.cli import main
+from squidring.cli import _fmt, _write_rows, main
 from squidring.observables import RECORD_COLUMNS
 
 SHORT_RAMP = [
@@ -396,3 +399,61 @@ def test_default_commands_run_without_scipy(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(NO_SCIPY_RUNS)
     sweep = (tmp_path / "out3" / "summary.txt").read_text()
     assert sweep.count("exchange region") == 1
+
+
+def test_default_commands_import_no_numpy_ma(tmp_path):
+    """numpy's np.unique and np.isin import numpy.ma, 14-21 ms of every process's
+    start-up; no default command may pay for it."""
+    code = ("import json, sys\n"
+            "from squidring.cli import main\n"
+            "runs = json.loads(sys.argv[1])\n"
+            "codes = [main(argv + ['--out', f'out{k}']) for k, argv in enumerate(runs)]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    done = _python("-c", code, json.dumps(NO_SCIPY_RUNS), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(NO_SCIPY_RUNS), False]
+
+
+def _reference_csv(path: Path, records: dict) -> None:
+    """The data-file writer as it was before rows were formatted by one template:
+    csv.writer over _fmt's cells."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(records))
+        for row in zip(*(records[c].tolist() for c in records)):
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _reference_jsonl(path: Path, records: dict) -> None:
+    with path.open("w") as fh:
+        for row in zip(*(records[c].tolist() for c in records)):
+            fh.write(json.dumps(dict(zip(records, row))) + "\n")
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@st.composite
+def record_sets(draw):
+    """Two float columns with nan, infinities, -0.0, subnormals and +-1e+-300, one
+    bool column and one int column, all of one length (0 to 12 rows)."""
+    n = draw(st.integers(0, 12))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_subnormal=True))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    return {"t": column(floats, float), "ent_mag": column(floats, float),
+            "converged": column(st.booleans(), bool),
+            "count": column(st.integers(-2**63, 2**63 - 1), np.int64)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_sets())
+def test_data_files_are_the_reference_writers_bytes(tmp_path_factory, records):
+    out = tmp_path_factory.mktemp("rows")
+    for fmt, reference in (("csv", _reference_csv), ("jsonl", _reference_jsonl)):
+        _write_rows(out / f"new.{fmt}", records, fmt)
+        reference(out / f"ref.{fmt}", records)
+        assert (out / f"new.{fmt}").read_bytes() == (out / f"ref.{fmt}").read_bytes()

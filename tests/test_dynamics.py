@@ -30,7 +30,7 @@ from squidring.dynamics import (
     thermal_occupation,
 )
 from squidring.experiments import RampConfig, run_ramp
-from squidring.linalg import hermitize
+from squidring.linalg import PositivityError, hermitize
 
 OMEGA_S = CircuitParams().omega_s
 
@@ -141,6 +141,104 @@ def test_tdse_norm_abort():
         evolve_tdse(state, h, 10.0, config=IntegratorConfig(dt=1.0), sample_dt=10.0)
 
 
+def test_unstable_map_over_a_long_stretch_aborts_at_its_first_knot():
+    """2,000 constant-flux knots of a map that grows the state about 4e6-fold per
+    knot: the state overflows within the run, yet the abort names the first knot,
+    as a check after every knot does, and no overflow warning escapes (the
+    suite turns warnings into errors)."""
+    h = StaticHamiltonian(np.diag([0.0, 100.0]).astype(complex))
+    state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
+    with pytest.raises(NormDriftError, match=r"drift \S+ at t = 1\.000$"):
+        evolve_tdse(state, h, 2000.0, config=IntegratorConfig(dt=1.0), sample_dt=1.0)
+
+
+@pytest.mark.parametrize("t_end, sample_dt", [
+    (2.0, SAMPLE_DT),          # ends before the state's time
+    (math.nan, SAMPLE_DT),
+    (math.inf, SAMPLE_DT),
+    (10.0, 0.0),
+    (10.0, -0.5),
+    (10.0, math.nan),
+    (10.0, math.inf),
+])
+@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
+def test_bad_end_or_sample_step_raises(equation, t_end, sample_dt):
+    """A run that ends before it starts would label its initial state with t_end,
+    and a zero sample step would divide by zero: both are refused."""
+    state = QuantumState.pure(np.array([1.0, 0.0], complex), (1, 2), t=5.0)
+    h = StaticHamiltonian(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(ValueError, match="t_end must be|sample_dt must be"):
+        if equation == "tdse":
+            evolve_tdse(state, h, t_end, sample_dt=sample_dt)
+        else:
+            baths = BathParams(gamma_e=0.1, omega_b=OMEGA_S)
+            a = ladder(2)
+            evolve_lindblad(QuantumState.mixed(state.density(), state.dims, t=5.0), h, baths,
+                            (a, np.zeros_like(a)), t_end, sample_dt=sample_dt)
+
+
+def test_zero_length_run_returns_the_initial_sample():
+    psi = np.array([0.6, 0.8j])
+    traj = evolve_tdse(QuantumState.pure(psi, (1, 2), t=5.0),
+                       StaticHamiltonian(np.diag([0.0, 1.0]).astype(complex)), 5.0)
+    np.testing.assert_array_equal(traj.times, [5.0])
+    np.testing.assert_array_equal(traj.data, [psi])
+
+
+def test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold():
+    """RK4 shrinks each component of psi by |R(-i theta)| per step, with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and theta = 0.095 (H - shift is
+    diag(-0.095, 0.095), one step per knot), so the drift crosses 1e-6 well
+    inside a 2,000-knot stretch. The abort names the first knot past it."""
+    z = -0.095j
+    gain = abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+    drift = np.abs(gain ** np.arange(1, 2001) - 1.0)
+    first = int(np.argmax(drift > 1e-6)) + 1
+    assert 100 < first < 1000
+    assert drift[first - 1] - 1e-6 > 1e-11 and 1e-6 - drift[first - 2] > 1e-11
+    h = StaticHamiltonian(np.diag([0.0, 0.19]).astype(complex))
+    state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
+    with pytest.raises(NormDriftError, match=rf"at t = {first}\.000$"):
+        evolve_tdse(state, h, 2000.0, config=IntegratorConfig(dt=1.0), sample_dt=1.0)
+
+
+def test_positivity_abort_names_the_first_offending_sample():
+    """At omega h = 2.84, beyond RK4's stability limit 2 sqrt(2) on the imaginary
+    axis, the coherence of a damped two-level rho grows by about 3 % per step
+    while the trace stays 1, so rho turns non-positive a few samples in. A
+    plain per-sample RK4 loop, written here, finds the first sample below
+    -1e-6; the integrator's stretch run must name the same one."""
+    omega, gamma, dt = 2.84, 0.01, 1.0
+    h = np.diag([0.0, omega]).astype(complex)
+    baths = BathParams(gamma_e=gamma, omega_b=OMEGA_S)
+    a = ladder(2)
+    m = baths.mean_occupation
+    cops = [math.sqrt(gamma * (m + 1)) * a, math.sqrt(gamma * m) * a.conj().T]
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h)
+        for c in cops:
+            cdc = c.conj().T @ c
+            out += c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
+        return out
+
+    rho = np.array([[0.5, 0.4], [0.4, 0.5]], complex)
+    rho0 = QuantumState.mixed(rho, (1, 2))
+    lowest = []
+    for _ in range(20):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        lowest.append(np.linalg.eigvalsh(rho).min())
+    first = int(np.argmax(np.array(lowest) < -1e-6)) + 1
+    assert 3 < first < 15 and lowest[first - 2] > 1e-4 and lowest[first - 1] < -1e-4
+    with pytest.raises(PositivityError, match=rf"at t = {first}\.000$"):
+        evolve_lindblad(rho0, StaticHamiltonian(h), baths, (a, np.zeros_like(a)), 20.0,
+                        config=IntegratorConfig(dt=dt), sample_dt=dt)
+
+
 def _lindblad_2x2(h, **kw):
     """Damped two-level run: one decay channel at gamma = 0.1."""
     baths = BathParams(gamma_e=0.1, gamma_s=0.0, omega_b=OMEGA_S)
@@ -151,10 +249,11 @@ def _lindblad_2x2(h, **kw):
 
 @pytest.mark.parametrize("equation", ["tdse", "lindblad step map", "lindblad stepping"])
 def test_non_finite_state_aborts(equation):
-    """A run that overflows to NaN raises instead of returning NaN states."""
+    """A run that overflows to NaN raises instead of returning NaN states, and
+    no overflow warning escapes on the way (the suite turns warnings into errors)."""
     h = np.diag([0.0, 1e4]).astype(complex)
     kw = dict(t_end=100.0, config=IntegratorConfig(dt=1.0), sample_dt=100.0)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NormDriftError):
+    with pytest.raises(NormDriftError):
         if equation == "tdse":
             state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
             evolve_tdse(state, StaticHamiltonian(h), **kw)
