@@ -38,6 +38,12 @@ PHI0 = _H / (2 * _E)
 # which the ring is truncated to its eigenbasis.
 DEFAULT_BIAS = 0.42864
 
+# Default truncation: field levels, ring levels, and the ring's Fock basis size
+# before it is reduced to its lowest eigenstates.
+DEFAULT_DE = 4
+DEFAULT_DS = 4
+DEFAULT_PRE_DIM = 40
+
 # Cosine-well energy as a multiple of Phi0^2/Lambda_s. Calibrated so that with
 # the default circuit the ring's first transition is resonant with one field
 # quantum at the DEFAULT_BIAS operating point (which also reproduces the
@@ -290,7 +296,7 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
     coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
     stacked per row."""
-    if coefficients.ndim == 1:  # one matrix, as in every step of the ramp window
+    if coefficients.ndim == 1:  # one H: at one flux, a stretch midpoint or an adaptive stage
         return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
     flat = pieces.reshape(pieces.shape[:-2] + (-1,))
     return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
@@ -371,9 +377,9 @@ class TruncatedModel:
 def truncate_to_eigenbasis(
     params: CircuitParams,
     ring_ref_flux: float = DEFAULT_BIAS,
-    pre_dim: int = 40,
-    de: int = 4,
-    ds: int = 4,
+    pre_dim: int = DEFAULT_PRE_DIM,
+    de: int = DEFAULT_DE,
+    ds: int = DEFAULT_DS,
     check_convergence: bool = True,
     convergence_tol: float = 1e-6,
 ) -> TruncatedModel:
@@ -439,18 +445,14 @@ class RampHamiltonian:
     """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed.
 
     Callable t -> dense Hamiltonian, or an array of times -> a stack of them.
-    `static_on(a, b)` reports whether the drive is frozen on an interval, which
-    the integrators exploit.
+    `static_on(a, b)` reports whether the drive is frozen on an interval, or on
+    each of arrays of intervals, which the integrators exploit.
     """
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.model = model
         self.drive = drive
         self._pieces = drive_terms(model.ring, model.groups, model.de)
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
     @property
     def breakpoints(self) -> tuple[float, float]:
@@ -461,9 +463,9 @@ class RampHamiltonian:
         coefficients = drive_coefficients(self.drive.value(t), self.drive.rate(t))
         return _combine(coefficients, self._pieces)
 
-    def static_on(self, a: float, b: float) -> bool:
+    def static_on(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
         t0, t1 = self.drive.breakpoints
-        return b <= t0 or a >= t1
+        return (b <= t0) | (a >= t1)
 
 
 class StaticHamiltonian:
@@ -473,14 +475,10 @@ class StaticHamiltonian:
     def __init__(self, h: np.ndarray):
         self._h = np.asarray(h, dtype=complex)
 
-    @property
-    def dim(self) -> int:
-        return self._h.shape[0]
-
     breakpoints: tuple = ()
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         return np.broadcast_to(self._h, np.shape(t) + self._h.shape) if np.ndim(t) else self._h
 
-    def static_on(self, a: float, b: float) -> bool:
-        return True
+    def static_on(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
+        return np.full(np.shape(a), True) if np.ndim(a) else True

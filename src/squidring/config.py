@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .circuit import CircuitParams, check_types
+from .circuit import DEFAULT_DE, DEFAULT_DS, DEFAULT_PRE_DIM, CircuitParams, check_types
 from .dynamics import SAMPLE_DT, IntegratorConfig
 from .experiments import BathConfig, ConfigError, RampConfig, SweepConfig
 
@@ -23,9 +23,9 @@ FORMATS = ("csv", "jsonl")
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    de: int = 4
-    ds: int = 4
-    pre_dim: int = 40
+    de: int = DEFAULT_DE
+    ds: int = DEFAULT_DS
+    pre_dim: int = DEFAULT_PRE_DIM
 
     def __post_init__(self):
         check_types(self)

@@ -8,9 +8,11 @@ method). Hamiltonians are passed as callables t -> H. RampHamiltonian and
 StaticHamiltonian also take an array of times and return a stack of H; the
 core builds the K(t) of all RK4 stages of a knot interval from one such call
 (a plain callable is called once per stage time instead). Objects exposing
-`breakpoints` and `static_on(a, b)` let the core split at drive
-discontinuities and, on each constant-H stretch, evaluate H once and apply
-the RK4 step map as one cached matrix power per knot.
+`breakpoints` and `static_on(a, b)` (which takes arrays of interval ends) let
+the core split at drive discontinuities and, on each run of frozen intervals,
+evaluate H once and apply the RK4 step map as one matrix power per knot; such
+a run must have one H throughout, as a continuous drive that is frozen
+before and after a ramp window has.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -29,7 +31,7 @@ from .linalg import PositivityError, hermitize
 NORM_ABORT = 1e-6
 TRACE_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-6
-EIG_BLOCK = 256  # density samples per stacked eigvalsh in the positivity check
+EIG_BLOCK = 256  # density samples per stacked eigvalsh (positivity check, records)
 
 SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
 RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp raises a smaller rtol to this, only warning
@@ -252,18 +254,18 @@ def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _check(eq, times, states, are_samples: bool) -> tuple[float, float]:
+def _check(eq, times, states, samples) -> tuple[float, float]:
     """Abort checks on a stack of consecutive knot states: drift and
-    finiteness of each, and positivity of each if they are samples. Raises at
-    the first failing knot, drift before positivity, as a check after every
-    knot would. Returns the max drift and the min lowest eigenvalue (1.0 when
-    no sample was checked)."""
+    finiteness of each, and positivity of each one flagged in `samples`.
+    Raises at the first failing knot, drift before positivity, as a check
+    after every knot would. Returns the max drift and the min lowest
+    eigenvalue of the samples (1.0 when no sample was checked)."""
     with np.errstate(over="ignore", invalid="ignore"):
         drift = eq.drift(states)
     bad = ~(drift <= eq.abort)  # a non-finite state fails this test as well
     stop = int(bad.argmax()) if bad.any() else len(states)
-    w_min = eq.lowest_eigenvalue(states[:stop]) if are_samples else np.zeros(0)
-    negative = w_min < -POSITIVITY_ABORT
+    w_min = np.where(samples[:stop], eq.lowest_eigenvalue(states[:stop]), np.inf)
+    negative = ~(w_min >= -POSITIVITY_ABORT)  # so does a NaN eigenvalue
     if negative.any():
         k = int(negative.argmax())
         raise PositivityError(f"density matrix eigenvalue {w_min[k]:.3e} at t = {times[k]:.3f}")
@@ -278,22 +280,23 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
 
     Knots are the sample grid plus the drive breakpoints; the integrator never
-    steps across a knot. Consecutive knots on which `static_on` holds from the
-    first of them form one constant-H stretch: H is taken once, at the midpoint
-    of its first knot interval, and each knot applies the RK4 step map to the
-    power n, cached for the last (n, span, H). A run of such knots that share
-    the cached map, all samples but possibly the last, is advanced in one tight
-    loop of one matrix-vector product per knot, each sample written straight
-    into the output array; its checks and TDSE phases are then applied to the
-    whole run at once. Every other knot is a window knot: its n RK4 steps
-    index one stack of K at the 2n + 1 stage times a + j h/2 (the last one b
-    itself), built by a single call of the Hamiltonian on an array of times
-    (or, for a plain callable, by one call per time). H is shifted by its mean
-    diagonal at the stretch's or knot's midpoint (`shift`; the TDSE phase it
-    removes is restored on output). The adaptive method instead calls H per
-    evaluation and takes a window knot's shift from a midpoint call. Drift and
-    finiteness are checked at every knot and the lowest eigenvalue at every
-    sample (`_check`), and the first failure raises.
+    steps across a knot. The passes are planned before the loop, from one
+    `static_on` call on all knot intervals. H is taken at the first interval of
+    each run of frozen intervals (a constant-H stretch; H at that interval's
+    midpoint) and at every other interval (a window interval: K at its 2n + 1
+    RK4 stage times a + j h/2, the last one b itself, from one call of the
+    Hamiltonian on the array of times, or one call per time for a plain
+    callable). A pass starts wherever H is taken, where (n, rounded span)
+    changes, after a knot that is not a sample, and at every interval under
+    the adaptive method, which calls H per evaluation. A frozen pass builds its
+    RK4 step map to the power n once and applies it once per knot. A pass over
+    knots i + 1 .. j writes output rows row(i + 1) .. row(j), row(k) being the
+    number of samples before knot k, so a knot that is not a sample (the last of
+    its pass) lands in the next sample's row, which the next pass overwrites.
+    H is shifted by its mean diagonal at the stretch's or interval's midpoint
+    (`shift`; the TDSE phase it removes is restored on output). `_check` runs
+    on the initial state and once per pass: drift and finiteness at every
+    knot, the lowest eigenvalue at every sample; the first failure raises.
     Returns (times, samples, max drift, min eigenvalue).
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end >= t_start):
@@ -302,9 +305,8 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         raise ValueError(f"sample_dt must be a positive finite number, got {sample_dt!r}")
     cfg = config or IntegratorConfig()
     rk4 = cfg.method == "rk4"
-    breakpoints = getattr(hamiltonian, "breakpoints", ())
-    knots, is_sample = _knots(t_start, t_end, sample_dt, breakpoints)
-    static_on = getattr(hamiltonian, "static_on", lambda a, b: False)
+    knots, is_sample = _knots(t_start, t_end, sample_dt, getattr(hamiltonian, "breakpoints", ()))
+    static_on = getattr(hamiltonian, "static_on", lambda a, b: np.zeros(len(a), bool))
     if isinstance(hamiltonian, (RampHamiltonian, StaticHamiltonian)):
         h_stack = hamiltonian
     else:
@@ -313,24 +315,26 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     dim = y.shape[0]
     eye = np.eye(dim)
 
-    phase, max_drift, min_eig = 0.0, 0.0, 1.0
-    out = np.empty((np.count_nonzero(is_sample),) + y.shape, dtype=complex)
-    out[0] = y
-    emitted = 1
-    stretch = None  # first knot of the current constant-H stretch
-    cached_key, step_map = None, None
-
     spans = np.diff(knots)
     steps = np.maximum(1, np.ceil(spans / cfg.dt)).astype(int)
-    keys = list(zip(steps.tolist(), np.round(spans, 12).tolist()))
-    times, sample = knots.tolist(), is_sample.tolist()
-    i = 0
-    while i < len(keys):
-        a, b, n = times[i], times[i + 1], keys[i][0]
+    rounded = np.round(spans, 12)
+    frozen = static_on(knots[:-1], knots[1:])
+    fresh = ~frozen | ~np.concatenate(([False], frozen[:-1]))  # H is taken here
+    starts = fresh | (not rk4) | np.concatenate(
+        ([True], (np.diff(steps) != 0) | (np.diff(rounded) != 0) | ~is_sample[1:-1]))
+    bounds = np.flatnonzero(starts).tolist() + [len(spans)]
+    row = np.cumsum(is_sample) - is_sample
+    times = knots.tolist()
+
+    out = np.empty((np.count_nonzero(is_sample),) + y.shape, dtype=complex)
+    out[0] = y
+    max_drift, min_eig = _check(eq, knots[:1], out[:1], is_sample[:1])
+    phase = 0.0
+    for i, j in zip(bounds[:-1], bounds[1:]):  # this pass advances knots i + 1 .. j
+        a, b, n = times[i], times[i + 1], steps[i]
         h = (b - a) / n
-        if stretch is None or not static_on(stretch, b):
-            stretch = a if static_on(a, b) else None
-            if stretch is None and rk4:
+        if fresh[i]:
+            if rk4 and not frozen[i]:
                 stages = a + np.arange(2 * n + 1) * (0.5 * h)
                 stages[-1] = b  # a + n h may round past b = t0 + tr, where the rate is 0
                 hs = h_stack(stages)
@@ -338,15 +342,9 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
             else:
                 # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
                 h_mid = hamiltonian(0.5 * (a + b))
-                h_bytes = h_mid.tobytes()
             shift = np.trace(h_mid).real / dim
             k_const = eq.k_fix + 1j * shift * eye
-        j = i + 1  # this pass advances knots i + 1 .. j
-        if rk4 and stretch is not None:
-            while (j < len(keys) and sample[j] and keys[j] == keys[i]
-                   and static_on(stretch, times[j + 1])):
-                j += 1
-        rows = out[emitted:emitted + j - i - (not sample[j])]  # the samples among them
+        rows = out[row[i + 1]:row[j] + 1]
         with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
             if not rk4:
                 from scipy.integrate import solve_ivp  # only this method needs scipy
@@ -358,17 +356,12 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                                 rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
                 if not sol.success:
                     raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
-                y = eq.settle(sol.y[:, -1].reshape(y.shape))
-                rows[:] = y
-            elif stretch is not None:
-                key = keys[i] + (h_bytes,)
-                if key != cached_key:
-                    step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
-                    cached_key, step_map = key, np.linalg.matrix_power(step, n)
+                y = rows[0] = eq.settle(sol.y[:, -1].reshape(y.shape))
+            elif frozen[i]:
+                step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
+                step_map = np.linalg.matrix_power(step, n)
                 for k in range(j - i):
-                    y = eq.step(step_map, y)
-                    if k < len(rows):
-                        rows[k] = y
+                    y = rows[k] = eq.step(step_map, y)
             else:
                 ks = -1j * hs + k_const
                 for s in range(0, 2 * n, 2):
@@ -377,17 +370,12 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                     s3 = eq.apply(ks[s + 1], y + 0.5 * h * s2)
                     s4 = eq.apply(ks[s + 2], y + h * s3)
                     y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-                y = eq.settle(y)
-                rows[:] = y
-        drift, w_min = _check(eq, knots[i + 1:j + 1], rows, True)
-        if not sample[j]:
-            drift = max(drift, _check(eq, knots[j:j + 1], y[None], False)[0])
+                y = rows[0] = eq.settle(y)
+        drift, w_min = _check(eq, knots[i + 1:j + 1], rows, is_sample[i + 1:j + 1])
         max_drift, min_eig = max(max_drift, drift), min(min_eig, w_min)
         phases = np.cumsum(np.concatenate(([phase], shift * spans[i:j])))[1:]
-        eq.emit(rows, phases[:len(rows)])
+        eq.emit(rows, phases)
         phase = phases[-1]
-        emitted += len(rows)
-        i = j
 
     return knots[is_sample], out, max_drift, min_eig
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .circuit import (
     DEFAULT_BIAS,
+    DEFAULT_DE,
+    DEFAULT_DS,
+    DEFAULT_PRE_DIM,
     CircuitParams,
     DimensionlessGroups,
     FluxDrive,
@@ -169,9 +172,9 @@ class RampResult:
 def default_model(
     params: CircuitParams | None = None,
     ref_flux: float = DEFAULT_BIAS,
-    de: int = 4,
-    ds: int = 4,
-    pre_dim: int = 40,
+    de: int = DEFAULT_DE,
+    ds: int = DEFAULT_DS,
+    pre_dim: int = DEFAULT_PRE_DIM,
 ) -> TruncatedModel:
     return truncate_to_eigenbasis(
         params or CircuitParams(), ring_ref_flux=ref_flux, pre_dim=pre_dim, de=de, ds=ds
@@ -434,9 +437,9 @@ def _detect_regions(cfg: SweepConfig, grid: np.ndarray, avg_e: np.ndarray,
 def run_sweep(
     cfg: SweepConfig,
     params: CircuitParams | None = None,
-    de: int = 4,
-    ds: int = 4,
-    pre_dim: int = 40,
+    de: int = DEFAULT_DE,
+    ds: int = DEFAULT_DS,
+    pre_dim: int = DEFAULT_PRE_DIM,
 ) -> SweepResult:
     """Time-averaged component energies vs static bias flux, plus exchange regions."""
     static = StaticAverages(params or CircuitParams(), cfg.tau, cfg.sample_dt, de, ds, pre_dim)

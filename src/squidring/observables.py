@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import FluxDrive, TruncatedModel
-from .dynamics import QuantumState, Trajectory
+from .dynamics import EIG_BLOCK, QuantumState, Trajectory
 from .linalg import partial_trace, vn_entropy
 
 
@@ -217,7 +217,7 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
                     + np.hypot(r[:, 0, 1].real, r[:, 0, 1].imag))
         # S(rho) and Tr rho^2 block by block, so that their (block, d, d)
         # temporaries stay small next to the stack itself
-        blocks = np.array_split(data, -(-len(t) // 256))
+        blocks = np.array_split(data, -(-len(t) // EIG_BLOCK))
         s_tot = np.concatenate([vn_entropy(block) for block in blocks])
         purity = np.concatenate([np.trace(block @ block, axis1=1, axis2=2).real
                                  for block in blocks])

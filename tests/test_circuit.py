@@ -190,14 +190,17 @@ def test_ramp_hamiltonian_matches_direct_build(model):
     assert not ham.static_on(9.0, 11.0)
     assert not ham.static_on(11.0, 13.0)
     assert ham.static_on(14.0, 30.0)
-    assert ham.dim == model.dim
+    # arrays of interval ends give one flag per interval, as the scalar calls do
+    a, b = np.array([0.0, 9.0, 11.0, 14.0]), np.array([10.0, 11.0, 13.0, 30.0])
+    np.testing.assert_array_equal(ham.static_on(a, b), [True, False, False, True])
 
 
 def test_static_hamiltonian_wrapper():
     h = np.diag([1.0, 2.0]).astype(complex)
     sh = StaticHamiltonian(h)
-    assert sh.dim == 2
     assert sh.static_on(0.0, 1e9)
+    np.testing.assert_array_equal(sh.static_on(np.array([0.0, 5.0]), np.array([5.0, 1e9])),
+                                  [True, True])
     np.testing.assert_array_equal(sh(3.7), h)
     np.testing.assert_array_equal(sh(np.array([0.0, 1.0, 2.0])), [h, h, h])
     assert sh.breakpoints == ()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from squidring import dynamics
 from squidring.circuit import (
     HBAR,
     KB,
@@ -183,6 +184,27 @@ def test_zero_length_run_returns_the_initial_sample():
                        StaticHamiltonian(np.diag([0.0, 1.0]).astype(complex)), 5.0)
     np.testing.assert_array_equal(traj.times, [5.0])
     np.testing.assert_array_equal(traj.data, [psi])
+
+
+@pytest.mark.parametrize("t_end", [5.0, 10.0], ids=["zero length", "longer"])
+@pytest.mark.parametrize("initial, error", [
+    (np.array([math.nan, 0.0]), NormDriftError),
+    (np.diag([1.2, -0.2]), PositivityError),
+    (np.array([[0.5, math.nan], [math.nan, 0.5]]), PositivityError),
+], ids=["NaN psi", "negative rho", "NaN coherence rho"])
+def test_invalid_initial_state_raises_at_t_start(initial, error, t_end):
+    """The initial state is checked as knot 0. QuantumState lets these through
+    (NaN fails its > 1e-8 tests, and the rhos have trace 1), yet they raise at
+    t_start, for a zero-length run as for a longer one."""
+    h = StaticHamiltonian(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(error, match=r"at t = 5\.000$"):
+        if initial.ndim == 1:
+            evolve_tdse(QuantumState.pure(initial, (1, 2), t=5.0), h, t_end)
+        else:
+            baths = BathParams(gamma_e=0.1, omega_b=OMEGA_S)
+            a = ladder(2)
+            evolve_lindblad(QuantumState.mixed(initial, (1, 2), t=5.0), h, baths,
+                            (a, np.zeros_like(a)), t_end)
 
 
 def test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold():
@@ -448,15 +470,28 @@ def test_ramp_near_a_sample_emits_each_sample_once(model):
 def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     """A default-length ramp calls H once per constant stretch, on one time, and
     once per ramp-window knot, on the stack of its 2n + 1 RK4 stage times; never
-    once per RK4 step."""
-    calls = []
-    real_call = RampHamiltonian.__call__
+    once per RK4 step. It asks `static_on` once, on the arrays of all knot
+    intervals, and builds one step map per frozen pass: the stretch before t0,
+    and after t0 + tr the short interval to the next sample and the rest."""
+    calls, static_calls, step_maps = [], [], []
+    real_call, real_static_on = RampHamiltonian.__call__, RampHamiltonian.static_on
+    real_step_matrix = dynamics._rk4_step_matrix
 
     def counted(self, t):
         calls.append(np.shape(t))
         return real_call(self, t)
 
+    def counted_static_on(self, a, b):
+        static_calls.append((np.shape(a), np.shape(b)))
+        return real_static_on(self, a, b)
+
+    def counted_step_matrix(g, h):
+        step_maps.append(h)
+        return real_step_matrix(g, h)
+
     monkeypatch.setattr(RampHamiltonian, "__call__", counted)
+    monkeypatch.setattr(RampHamiltonian, "static_on", counted_static_on)
+    monkeypatch.setattr(dynamics, "_rk4_step_matrix", counted_step_matrix)
     drive, t_end, dt = FluxDrive(), 3 * FluxDrive.t0, IntegratorConfig.dt
     ham = RampHamiltonian(model, drive)
     psi0 = np.zeros(model.dim, complex)
@@ -464,6 +499,8 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     evolve_tdse(QuantumState.pure(psi0, (model.de, model.ds)), ham, t_end)
 
     knots, _ = _knots(0.0, t_end, SAMPLE_DT, drive.breakpoints)
+    assert static_calls == [((len(knots) - 1,), (len(knots) - 1,))]
+    assert len(step_maps) == 3
     window = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if not ham.static_on(a, b)]
     assert len(window) == 34
     assert calls.count(()) == 2  # the stretches before t0 and after t0 + tr

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
@@ -182,10 +182,13 @@ def _reference_evolution(apply, settle, k_fix, y, hamiltonian, t_start, t_end, s
 @settings(max_examples=8, deadline=None)
 @given(st.floats(0.40, 0.45), st.floats(0.36, 0.40), st.floats(0.2, 2.0),
        st.integers(1, 3), st.one_of(st.just(0.0), st.floats(0.01, 0.49)))
+@example(a=0.42864, b=0.38, tr=0.3, t0_samples=2, offset=0.1)  # t0, t0 + tr in (1.0, 1.5)
 def test_ramp_window_matches_per_step_rk4(model, equation, a, b, tr, t0_samples, offset):
     """Through a random ramp, whose start t0 lies on the sample grid or off it,
-    the integrator (one stacked H per window knot, one step map per constant
-    stretch) stays within 1e-12 of per-step RK4 with scalar H calls."""
+    the integrator (one stacked H per window knot, one step map per frozen
+    pass) stays within 1e-12 of per-step RK4 with scalar H calls. Both
+    breakpoints may fall inside one sample interval; then both knots, neither
+    a sample, pass through the same output row."""
     t0 = t0_samples * 0.5 + offset
     drive = FluxDrive(A=a, B=b, t0=t0, tr=tr)
     ham = RampHamiltonian(model, drive)
