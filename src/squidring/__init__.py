@@ -45,9 +45,6 @@ from .linalg import (
 from .observables import (
     RECORD_COLUMNS,
     LabeledBasis,
-    basis_probabilities,
-    bell_fidelity,
-    entanglement_indices,
     labeled_basis,
     record_columns,
     time_averaged_energy,

@@ -7,7 +7,12 @@ fixed-step RK4 or an embedded adaptive RK45 (scipy's, imported only for that
 method). Hamiltonians are passed as callables t -> H. RampHamiltonian and
 StaticHamiltonian also take an array of times and return a stack of H; the
 core builds the K(t) of all RK4 stages of a knot interval from one such call
-(a plain callable is called once per stage time instead). Objects exposing
+(a plain callable is called once per stage time instead). Across such a ramp
+window interval a TDSE of dimension up to WINDOW_MAP_MAX_DIM builds the n
+per-step RK4 maps from that stack in three batched products, into buffers
+reused by every window knot of the run, and then takes one matrix-vector
+product per step; a larger TDSE, and the master equation, whose per-step map
+would be d^2 x d^2, run the RK4 stage loop. Objects exposing
 `breakpoints` and `static_on(a, b)` (which takes arrays of interval ends) let
 the core split at drive discontinuities and, on each run of frozen intervals,
 evaluate H once and apply the RK4 step map as one matrix power per knot; such
@@ -32,6 +37,11 @@ NORM_ABORT = 1e-6
 TRACE_ABORT = 1e-6
 POSITIVITY_ABORT = 1e-6
 EIG_BLOCK = 256  # density samples per stacked eigvalsh (positivity check, records)
+# Largest state dimension at which the TDSE window builds per-step RK4 maps: the
+# maps cost O(d^3) per step and the stage loop O(d^2) plus a fixed Python cost
+# (one 100-step knot: maps 1.0 ms against 1.7 ms at d = 16, even at d = 22,
+# 3.5 ms against 3.0 ms at d = 24 and 7.9 ms against 3.0 ms at d = 36).
+WINDOW_MAP_MAX_DIM = 20
 
 SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
 RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp raises a smaller rtol to this, only warning
@@ -91,6 +101,8 @@ class QuantumState:
     @classmethod
     def pure(cls, vector: np.ndarray, dims: tuple[int, int], t: float = 0.0) -> "QuantumState":
         v = np.asarray(vector, dtype=complex)
+        if not np.isfinite(v).all():  # a NaN norm would pass the test below
+            raise ValueError("pure state vector has non-finite entries")
         if abs(np.linalg.norm(v) - 1.0) > 1e-8:
             raise ValueError("pure state vector is not normalized")
         return cls(v, dims, t)
@@ -98,6 +110,8 @@ class QuantumState:
     @classmethod
     def mixed(cls, rho: np.ndarray, dims: tuple[int, int], t: float = 0.0) -> "QuantumState":
         r = np.asarray(rho, dtype=complex)
+        if not np.isfinite(r).all():  # a NaN trace or asymmetry would pass the tests below
+            raise ValueError("density matrix has non-finite entries")
         if abs(np.trace(r).real - 1.0) > 1e-8:
             raise ValueError("density matrix trace differs from 1")
         if np.max(np.abs(r - r.conj().T)) > 1e-8:
@@ -173,9 +187,40 @@ class _Schrodinger:
 
     def __init__(self, dim: int):
         self.k_fix = np.zeros((dim, dim), complex)
+        self._buffers = np.empty((3, 0, dim, dim), complex)  # window maps, grown on demand
 
     def apply(self, k, psi):
         return k @ psi
+
+    def window(self, ks, h, psi):
+        """n RK4 steps of size h across a window interval, K at the 2n + 1 stage
+        times in ks. Each step's map P = I + h/6 (K1 + 2 S2 + 2 S3 + S4), with
+        S2 = K2 (I + h/2 K1), S3 = K2 (I + h/2 S2) and S4 = K4 (I + h S3), is
+        built for all n steps at once: three batched products, written in place
+        into buffers that every window knot of the run reuses (fresh (n, d, d)
+        temporaries would cost as much as the stage loop they replace). Then one
+        matrix-vector product per step. Above WINDOW_MAP_MAX_DIM the stage loop
+        is cheaper, and runs instead."""
+        n, d = len(ks) // 2, len(psi)
+        if d > WINDOW_MAP_MAX_DIM:
+            return _rk4_stages(self.apply, ks, h, psi)
+        if len(self._buffers[0]) < n:
+            self._buffers = np.empty((3, n, d, d), complex)
+        k1, k2, k4 = ks[0:2 * n:2], ks[1:2 * n:2], ks[2::2]
+        s2, s3, s4 = self._buffers[:, :n]
+        for k, s, c, out in ((k2, k1, 0.5 * h, s2), (k2, s2, 0.5 * h, s3), (k4, s3, h, s4)):
+            np.matmul(k, s, out=out)  # out = K (I + c S)
+            out *= c
+            out += k
+        s2 += s3  # P = I + h/3 (S2 + S3) + h/6 (K1 + S4), in S2's buffer
+        s2 *= h / 3
+        s4 += k1
+        s4 *= h / 6
+        s2 += s4
+        s2.reshape(n, -1)[:, ::d + 1] += 1.0
+        for m in s2:
+            psi = m @ psi
+        return psi
 
     def dense(self, k):
         return k
@@ -215,6 +260,12 @@ class _Master:
     def apply(self, k, rho):
         return k @ rho + rho @ k.conj().T + (self.c @ rho @ self.c_dag).sum(axis=0)
 
+    def window(self, ks, h, rho):
+        """n RK4 steps of size h across a window interval, K at the 2n + 1 stage
+        times in ks, then settle: the stage loop, since the dense step map
+        would be d^2 x d^2 per step."""
+        return self.settle(_rk4_stages(self.apply, ks, h, rho))
+
     def dense(self, k):
         eye = np.eye(len(k))
         sup = np.kron(k, eye) + np.kron(eye, k.conj())
@@ -241,6 +292,18 @@ class _Master:
         for k in range(0, len(rhos), EIG_BLOCK):
             w_min[k:k + EIG_BLOCK] = np.linalg.eigvalsh(rhos[k:k + EIG_BLOCK]).min(axis=1)
         return w_min
+
+
+def _rk4_stages(apply, ks, h, y):
+    """n RK4 steps of size h of dy/dt = apply(K(t), y), K at the 2n + 1 stage
+    times in ks (a, a + h/2, a + h, ...): one Python-level stage loop."""
+    for s in range(0, len(ks) - 1, 2):
+        s1 = apply(ks[s], y)
+        s2 = apply(ks[s + 1], y + 0.5 * h * s1)
+        s3 = apply(ks[s + 1], y + 0.5 * h * s2)
+        s4 = apply(ks[s + 2], y + h * s3)
+        y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+    return y
 
 
 def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
@@ -289,7 +352,11 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     callable). A pass starts wherever H is taken, where (n, rounded span)
     changes, after a knot that is not a sample, and at every interval under
     the adaptive method, which calls H per evaluation. A frozen pass builds its
-    RK4 step map to the power n once and applies it once per knot. A pass over
+    RK4 step map to the power n once and applies it once per knot. A window
+    interval is one `eq.window` call on its K stack: up to WINDOW_MAP_MAX_DIM
+    the TDSE's n per-step maps from three batched products into reused
+    buffers, then one matrix-vector product per step; otherwise the RK4 stage
+    loop. A pass over
     knots i + 1 .. j writes output rows row(i + 1) .. row(j), row(k) being the
     number of samples before knot k, so a knot that is not a sample (the last of
     its pass) lands in the next sample's row, which the next pass overwrites.
@@ -363,14 +430,9 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                 for k in range(j - i):
                     y = rows[k] = eq.step(step_map, y)
             else:
-                ks = -1j * hs + k_const
-                for s in range(0, 2 * n, 2):
-                    s1 = eq.apply(ks[s], y)
-                    s2 = eq.apply(ks[s + 1], y + 0.5 * h * s1)
-                    s3 = eq.apply(ks[s + 1], y + 0.5 * h * s2)
-                    s4 = eq.apply(ks[s + 2], y + h * s3)
-                    y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-                y = rows[0] = eq.settle(y)
+                ks = hs * -1j  # one new stack per knot; -1j * hs + k_const makes
+                ks += k_const  # two, which costs a cold run more (BENCH_16.json)
+                y = rows[0] = eq.window(ks, h, y)
         drift, w_min = _check(eq, knots[i + 1:j + 1], rows, is_sample[i + 1:j + 1])
         max_drift, min_eig = max(max_drift, drift), min(min_eig, w_min)
         phases = np.cumsum(np.concatenate(([phase], shift * spans[i:j])))[1:]

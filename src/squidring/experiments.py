@@ -249,24 +249,6 @@ def _check_finite(phi: np.ndarray, avg: np.ndarray) -> None:
                                f"{', '.join(format(f, '.17g') for f in phi[bad])} Phi0")
 
 
-def _static_averages(
-    params: CircuitParams,
-    phi_x: float | np.ndarray,
-    tau: float,
-    sample_dt: float,
-    de: int,
-    ds: int,
-    pre_dim: int,
-) -> tuple:
-    """StaticAverages.averages at one flux, giving floats and bools, or at a 1-D
-    array of fluxes; each value has the bits of the single-flux call."""
-    columns = StaticAverages(params, tau, sample_dt, de, ds, pre_dim).averages(
-        np.atleast_1d(np.asarray(phi_x, dtype=float)))
-    if np.ndim(phi_x) == 0:
-        return tuple(column.item() for column in columns)
-    return columns
-
-
 def _fminbound(func, lo: float, hi: float, xatol: float = 1e-5,
                maxfun: int = 500) -> tuple[float, float]:
     """(x, func(x)) at a local minimum of func on [lo, hi].

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import FluxDrive, TruncatedModel
-from .dynamics import EIG_BLOCK, QuantumState, Trajectory
+from .dynamics import EIG_BLOCK, Trajectory
 from .linalg import partial_trace, vn_entropy
 
 
@@ -35,21 +35,6 @@ def labeled_basis(model: TruncatedModel, phi_x: float) -> LabeledBasis:
     """Field Fock states tensor ring energy eigenstates of Hs(phi_x)."""
     _, v = model.ring_eigenbasis(phi_x)
     return LabeledBasis(np.kron(np.eye(model.de), v), (model.de, model.ds), phi_x)
-
-
-def basis_probabilities(state: QuantumState, basis: LabeledBasis) -> np.ndarray:
-    """Probabilities per label, shaped (de, ds)."""
-    de, ds = basis.dims
-    if state.data.shape[0] != de * ds:
-        raise ValueError("state and basis dimensions differ")
-    if state.is_pure:
-        amps = basis.matrix.conj().T @ state.data
-        p = np.abs(amps) ** 2
-    else:
-        p = np.einsum(
-            "ik,ij,jk->k", basis.matrix.conj(), state.data, basis.matrix
-        ).real
-    return p.reshape(de, ds)
 
 
 def time_averaged_energy(times: np.ndarray, values: np.ndarray,
@@ -126,26 +111,6 @@ def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
     return avg, converged
 
 
-def entanglement_indices(state: QuantumState) -> tuple[float, float]:
-    """(I_e, I_s) with I_i = S(rho) - S(rho_i); equal and <= 0 for pure states."""
-    rho = state.density()
-    s_tot = vn_entropy(rho)
-    s_e = vn_entropy(partial_trace(rho, state.dims, keep=0))
-    s_s = vn_entropy(partial_trace(rho, state.dims, keep=1))
-    return s_tot - s_e, s_tot - s_s
-
-
-def bell_fidelity(state: QuantumState, basis: LabeledBasis) -> float:
-    """Best overlap with (e^{i p1}|1e0s> + e^{i p2}|0e1s>)/sqrt(2) over the phases."""
-    i10 = basis.index(1, 0)
-    i01 = basis.index(0, 1)
-    if state.is_pure:
-        amps = basis.matrix.conj().T @ state.data
-        return float(0.5 * (abs(amps[i10]) + abs(amps[i01])) ** 2)
-    r = basis.matrix.conj().T @ state.data @ basis.matrix
-    return float(0.5 * (r[i10, i10].real + r[i01, i01].real) + abs(r[i10, i01]))
-
-
 RECORD_COLUMNS = ("t", "P_10", "P_01", "I_e", "I_s", "ent_mag",
                   "E_e", "E_s", "purity", "fidelity")
 
@@ -204,10 +169,11 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
         s_tot = -norm * np.log(norm)
         purity = np.ones(len(t))
     else:
-        # |1e0s> and |0e1s> as the two columns of u, shaped (T, d, 2), summed as
-        # basis_probabilities and bell_fidelity sum them, so a rho stack keeps
-        # every bit of its records; np.hypot is Python's abs() of a complex
-        # scalar, which np.abs on an array can miss in the last bit
+        # |1e0s> and |0e1s> as the two columns of u, shaped (T, d, 2), summed in
+        # the order of the per-state probability and Bell-fidelity definitions
+        # (<k|rho|k> over the basis, then 0.5 (r_00 + r_11) + |r_01|), so a rho
+        # stack keeps every bit of its records; np.hypot is Python's abs() of a
+        # complex scalar, which np.abs on an array can miss in the last bit
         u = np.zeros((len(t), de, ds, 2), dtype=complex)
         u[:, 1, :, 0], u[:, 0, :, 1] = v[:, :, 0], v[:, :, 1]
         u = u.reshape(len(t), de * ds, 2)

@@ -1,0 +1,63 @@
+"""Reference definitions that only the tests use: the per-state observables
+that the batched records pass (`observables.record_columns`) is checked
+against, and the static sweep's averages at one flux or a flux array."""
+import numpy as np
+
+from squidring.circuit import CircuitParams
+from squidring.dynamics import QuantumState
+from squidring.experiments import StaticAverages
+from squidring.linalg import partial_trace, vn_entropy
+from squidring.observables import LabeledBasis
+
+
+def basis_probabilities(state: QuantumState, basis: LabeledBasis) -> np.ndarray:
+    """Probabilities per label, shaped (de, ds)."""
+    de, ds = basis.dims
+    if state.data.shape[0] != de * ds:
+        raise ValueError("state and basis dimensions differ")
+    if state.is_pure:
+        amps = basis.matrix.conj().T @ state.data
+        p = np.abs(amps) ** 2
+    else:
+        p = np.einsum(
+            "ik,ij,jk->k", basis.matrix.conj(), state.data, basis.matrix
+        ).real
+    return p.reshape(de, ds)
+
+
+def entanglement_indices(state: QuantumState) -> tuple[float, float]:
+    """(I_e, I_s) with I_i = S(rho) - S(rho_i); equal and <= 0 for pure states."""
+    rho = state.density()
+    s_tot = vn_entropy(rho)
+    s_e = vn_entropy(partial_trace(rho, state.dims, keep=0))
+    s_s = vn_entropy(partial_trace(rho, state.dims, keep=1))
+    return s_tot - s_e, s_tot - s_s
+
+
+def bell_fidelity(state: QuantumState, basis: LabeledBasis) -> float:
+    """Best overlap with (e^{i p1}|1e0s> + e^{i p2}|0e1s>)/sqrt(2) over the phases."""
+    i10 = basis.index(1, 0)
+    i01 = basis.index(0, 1)
+    if state.is_pure:
+        amps = basis.matrix.conj().T @ state.data
+        return float(0.5 * (abs(amps[i10]) + abs(amps[i01])) ** 2)
+    r = basis.matrix.conj().T @ state.data @ basis.matrix
+    return float(0.5 * (r[i10, i10].real + r[i01, i01].real) + abs(r[i10, i01]))
+
+
+def static_averages(
+    params: CircuitParams,
+    phi_x: float | np.ndarray,
+    tau: float,
+    sample_dt: float,
+    de: int,
+    ds: int,
+    pre_dim: int,
+) -> tuple:
+    """StaticAverages.averages at one flux, giving floats and bools, or at a 1-D
+    array of fluxes; each value has the bits of the single-flux call."""
+    columns = StaticAverages(params, tau, sample_dt, de, ds, pre_dim).averages(
+        np.atleast_1d(np.asarray(phi_x, dtype=float)))
+    if np.ndim(phi_x) == 0:
+        return tuple(column.item() for column in columns)
+    return columns

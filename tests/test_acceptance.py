@@ -21,9 +21,9 @@ from squidring.circuit import (
     ladder,
 )
 from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
-from squidring.observables import entanglement_indices
 
 import acceptance_report
+from oracles import entanglement_indices
 
 BIAS = 0.42864
 TWIN = 0.57136

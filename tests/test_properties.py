@@ -37,21 +37,19 @@ from squidring.dynamics import (
 from squidring.experiments import (
     RampConfig,
     StaticAverages,
-    _static_averages,
     default_model,
     run_ramp,
 )
 from squidring.linalg import PositivityError, hermitize
 from squidring.observables import (
     RECORD_COLUMNS,
-    basis_probabilities,
-    bell_fidelity,
     closed_form_time_average,
-    entanglement_indices,
     labeled_basis,
     record_columns,
     time_averaged_energy,
 )
+
+from oracles import basis_probabilities, bell_fidelity, entanglement_indices, static_averages
 
 T_END = 2.0
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
@@ -274,8 +272,8 @@ def test_static_averages_twin_symmetry(phi, mu_es):
     static time-averaged energies agree."""
     params = CircuitParams(mu_es=mu_es)
     grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
-    left = _static_averages(params, phi, **grid)
-    right = _static_averages(params, 1.0 - phi, **grid)
+    left = static_averages(params, phi, **grid)
+    right = static_averages(params, 1.0 - phi, **grid)
     assert abs(left[0] - right[0]) < 1e-10
     assert abs(left[1] - right[1]) < 1e-10
 
@@ -321,8 +319,8 @@ def test_static_averages_stack_is_per_point(fluxes, mu_es):
     total H's eigenbasis and the scalar closed-form average."""
     params = CircuitParams(mu_es=mu_es)
     grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
-    stacked = _static_averages(params, fluxes, **grid)
-    single = [_static_averages(params, phi, **grid) for phi in fluxes]
+    stacked = static_averages(params, fluxes, **grid)
+    single = [static_averages(params, phi, **grid) for phi in fluxes]
     for got, want in zip(stacked, zip(*single)):
         assert np.array_equal(got, want)
 
@@ -346,7 +344,7 @@ def test_field_average_is_the_static_average(fluxes, mu_es):
     grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
     static = StaticAverages(params, **grid)
     for phi in fluxes + fluxes[:1]:
-        assert static.field_average(phi).hex() == _static_averages(params, phi, **grid)[0].hex()
+        assert static.field_average(phi).hex() == static_averages(params, phi, **grid)[0].hex()
 
 
 @st.composite
