@@ -296,7 +296,7 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
     coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
     stacked per row."""
-    if coefficients.ndim == 1:  # one H: at one flux, a stretch midpoint or an adaptive stage
+    if coefficients.ndim == 1:  # one H: at one flux or a stretch midpoint
         return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
     flat = pieces.reshape(pieces.shape[:-2] + (-1,))
     return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(

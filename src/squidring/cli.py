@@ -1,7 +1,8 @@
 """Command-line entry point: run an experiment, export plot-ready data.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
-diagnostic file is written next to the outputs in that case).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
+sample grid too large to allocate (a diagnostic file is written next to the
+outputs in that case).
 """
 from __future__ import annotations
 
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, PositivityError, ConvergenceError) as exc:
+    except (IntegrationError, PositivityError, ConvergenceError, MemoryError) as exc:
         write_config(cfg)  # as configured: a failed run may not have resolved auto_t0
         diag = out / "diagnostic.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")

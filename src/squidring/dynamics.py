@@ -2,9 +2,8 @@
 
 Both integrators work in the dimensionless units of the circuit module
 (hbar = 1, time in 1/omega_s). Both equations are the linear ODE
-dy/dt = G(t) y, with y = psi or rho, and share one integrator core (`_evolve`):
-fixed-step RK4 or an embedded adaptive RK45 (scipy's, imported only for that
-method). Hamiltonians are passed as callables t -> H. RampHamiltonian and
+dy/dt = G(t) y, with y = psi or rho, and share one fixed-step RK4 integrator
+core (`_evolve`). Hamiltonians are passed as callables t -> H. RampHamiltonian and
 StaticHamiltonian also take an array of times and return a stack of H; the
 core builds the K(t) of all RK4 stages of a knot interval from one such call
 (a plain callable is called once per stage time instead). Across such a ramp
@@ -44,11 +43,13 @@ EIG_BLOCK = 256  # density samples per stacked eigvalsh (positivity check, recor
 WINDOW_MAP_MAX_DIM = 20
 
 SAMPLE_DT = 0.5  # omega_s^-1, default output sampling step of the ramp pipelines
-RTOL_FLOOR = 100 * np.finfo(float).eps  # solve_ivp raises a smaller rtol to this, only warning
+# Most float64 samples numpy can size. A longer grid raises ValueError, not
+# MemoryError, from np.linspace, and an infinite count OverflowError from round.
+MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 class IntegrationError(RuntimeError):
-    """The integrator failed (step-size underflow, solver breakdown)."""
+    """A numerical failure: a drifting or non-finite state or average, a failed check."""
 
 
 class NormDriftError(IntegrationError):
@@ -131,22 +132,12 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"       # "rk4" | "adaptive"
     dt: float = 0.005         # omega_s^-1, fixed-step size
-    rtol: float = 1e-9
-    atol: float = 1e-12
 
     def __post_init__(self):
         check_types(self)
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if self.dt <= 0:
             raise ValueError("IntegratorConfig.dt must be positive")
-        if self.rtol < RTOL_FLOOR:
-            raise ValueError(f"IntegratorConfig.rtol must be >= {RTOL_FLOOR:.3g}, "
-                             f"got {self.rtol!r}")
-        if self.atol < 0:
-            raise ValueError(f"IntegratorConfig.atol must be nonnegative, got {self.atol!r}")
 
 
 @dataclass
@@ -166,12 +157,21 @@ class Trajectory:
         return self.data.ndim == 2
 
 
+def grid_intervals(span: float, step: float) -> int:
+    """round(span / step), the intervals of a sample grid; MemoryError for a
+    grid that no array can hold."""
+    n = span / step
+    if not n < MAX_SAMPLES:
+        raise MemoryError(f"a grid of {n:.3g} samples of step {step!r} is too large to hold")
+    return round(n)
+
+
 def _knots(t_start: float, t_end: float, sample_dt: float, breakpoints):
     """Sorted integration knots = sample grid plus drive breakpoints, and which
     knots are samples: exactly the n + 1 grid times, so a breakpoint next to a
     sample is integrated to but not emitted. (A sort and a searchsorted, not
     np.unique and np.isin, which import numpy.ma.)"""
-    n = max(1, int(round((t_end - t_start) / sample_dt)))
+    n = max(1, grid_intervals(t_end - t_start, sample_dt))
     samples = np.linspace(t_start, t_end, n + 1)
     extra = [b for b in breakpoints if t_start < b < t_end]
     knots = np.sort(np.concatenate([samples, np.asarray(extra, dtype=float)]))
@@ -224,9 +224,6 @@ class _Schrodinger:
 
     def dense(self, k):
         return k
-
-    def settle(self, psi):
-        return psi
 
     def step(self, m, psi):
         """One application of a dense step map."""
@@ -350,16 +347,15 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     RK4 stage times a + j h/2, the last one b itself, from one call of the
     Hamiltonian on the array of times, or one call per time for a plain
     callable). A pass starts wherever H is taken, where (n, rounded span)
-    changes, after a knot that is not a sample, and at every interval under
-    the adaptive method, which calls H per evaluation. A frozen pass builds its
+    changes and after a knot that is not a sample. A frozen pass builds its
     RK4 step map to the power n once and applies it once per knot. A window
     interval is one `eq.window` call on its K stack: up to WINDOW_MAP_MAX_DIM
     the TDSE's n per-step maps from three batched products into reused
     buffers, then one matrix-vector product per step; otherwise the RK4 stage
-    loop. A pass over
-    knots i + 1 .. j writes output rows row(i + 1) .. row(j), row(k) being the
-    number of samples before knot k, so a knot that is not a sample (the last of
-    its pass) lands in the next sample's row, which the next pass overwrites.
+    loop. A pass over knots i + 1 .. j writes output rows row(i + 1) .. row(j),
+    row(k) being the number of samples before knot k, so a knot that is not a
+    sample (the last of its pass) lands in the next sample's row, which the
+    next pass overwrites.
     H is shifted by its mean diagonal at the stretch's or interval's midpoint
     (`shift`; the TDSE phase it removes is restored on output). `_check` runs
     on the initial state and once per pass: drift and finiteness at every
@@ -371,7 +367,6 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     if not 0 < sample_dt < math.inf:
         raise ValueError(f"sample_dt must be a positive finite number, got {sample_dt!r}")
     cfg = config or IntegratorConfig()
-    rk4 = cfg.method == "rk4"
     knots, is_sample = _knots(t_start, t_end, sample_dt, getattr(hamiltonian, "breakpoints", ()))
     static_on = getattr(hamiltonian, "static_on", lambda a, b: np.zeros(len(a), bool))
     if isinstance(hamiltonian, (RampHamiltonian, StaticHamiltonian)):
@@ -383,11 +378,14 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     eye = np.eye(dim)
 
     spans = np.diff(knots)
-    steps = np.maximum(1, np.ceil(spans / cfg.dt)).astype(int)
+    steps = np.maximum(1, np.ceil(spans / cfg.dt))
+    if not (steps < MAX_SAMPLES).all():  # a window interval holds 2 n + 1 stage times
+        raise MemoryError(f"{steps.max():.3g} steps of dt = {cfg.dt!r} are too many to hold")
+    steps = steps.astype(int)
     rounded = np.round(spans, 12)
     frozen = static_on(knots[:-1], knots[1:])
     fresh = ~frozen | ~np.concatenate(([False], frozen[:-1]))  # H is taken here
-    starts = fresh | (not rk4) | np.concatenate(
+    starts = fresh | np.concatenate(
         ([True], (np.diff(steps) != 0) | (np.diff(rounded) != 0) | ~is_sample[1:-1]))
     bounds = np.flatnonzero(starts).tolist() + [len(spans)]
     row = np.cumsum(is_sample) - is_sample
@@ -401,7 +399,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         a, b, n = times[i], times[i + 1], steps[i]
         h = (b - a) / n
         if fresh[i]:
-            if rk4 and not frozen[i]:
+            if not frozen[i]:
                 stages = a + np.arange(2 * n + 1) * (0.5 * h)
                 stages[-1] = b  # a + n h may round past b = t0 + tr, where the rate is 0
                 hs = h_stack(stages)
@@ -413,18 +411,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
             k_const = eq.k_fix + 1j * shift * eye
         rows = out[row[i + 1]:row[j] + 1]
         with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
-            if not rk4:
-                from scipy.integrate import solve_ivp  # only this method needs scipy
-
-                def f(t, v):
-                    return eq.apply(-1j * hamiltonian(t) + k_const,
-                                    v.reshape(y.shape)).reshape(-1)
-                sol = solve_ivp(f, (a, b), y.reshape(-1), method="RK45",
-                                rtol=cfg.rtol, atol=cfg.atol, t_eval=[b])
-                if not sol.success:
-                    raise IntegrationError(f"adaptive step failed on [{a}, {b}]: {sol.message}")
-                y = rows[0] = eq.settle(sol.y[:, -1].reshape(y.shape))
-            elif frozen[i]:
+            if frozen[i]:
                 step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
                 step_map = np.linalg.matrix_power(step, n)
                 for k in range(j - i):

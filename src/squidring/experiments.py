@@ -35,6 +35,7 @@ from .circuit import (
     truncate_to_eigenbasis,
 )
 from .dynamics import (
+    MAX_SAMPLES,
     SAMPLE_DT,
     BathParams,
     IntegrationError,
@@ -43,6 +44,7 @@ from .dynamics import (
     Trajectory,
     evolve_lindblad,
     evolve_tdse,
+    grid_intervals,
 )
 from .observables import (
     closed_form_average,
@@ -89,6 +91,8 @@ class SweepConfig:
 
     @property
     def grid(self) -> np.ndarray:
+        if not self.points < MAX_SAMPLES:
+            raise MemoryError(f"a grid of {self.points} fluxes is too large to hold")
         return np.linspace(self.phi_min, self.phi_max, self.points)
 
 
@@ -200,7 +204,7 @@ class StaticAverages:
         self.ops = fock_ring_ops(pre_dim, self.groups.lambda_s)
         self.pieces = ring_pieces(self.ops, self.groups)
         self.h_e = np.kron(build_he(de, self.groups), np.eye(ds))
-        self.times = np.linspace(0.0, tau, max(3, int(round(tau / sample_dt)) + 1))
+        self.times = np.linspace(0.0, tau, max(3, grid_intervals(tau, sample_dt) + 1))
         self._field: dict[float, float] = {}  # <<He>> per flux asked for one at a time
 
     def _spectrum(self, phi: np.ndarray) -> tuple:

@@ -1,7 +1,9 @@
 """Reference definitions that only the tests use: the per-state observables
 that the batched records pass (`observables.record_columns`) is checked
-against, and the static sweep's averages at one flux or a flux array."""
+against, the static sweep's averages at one flux or a flux array, and an
+adaptive RK45 integration that the fixed-step RK4 core is checked against."""
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from squidring.circuit import CircuitParams
 from squidring.dynamics import QuantumState
@@ -61,3 +63,38 @@ def static_averages(
     if np.ndim(phi_x) == 0:
         return tuple(column.item() for column in columns)
     return columns
+
+
+def ivp_evolution(hamiltonian, y, t_start: float, t_end: float, cops=(),
+                  rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+    """y(t_end) for dy/dt = G(t) y by scipy's adaptive RK45: the TDSE
+    G y = -i H psi for a state vector y, or the master equation
+    G y = -i [H, rho] + sum_c (c rho c† - 1/2 {c† c, rho}) for a density matrix.
+
+    The drive rate jumps at the breakpoints, so each interval between them is
+    its own solve, with H taken strictly inside it (FluxDrive gives t0 the rate
+    before the ramp and t0 + tr the rate of the ramp). No shift, knot or step
+    of the package's integrator is used."""
+    shape = y.shape
+    cops = [np.asarray(c, dtype=complex) for c in cops]
+    loss = 0.5 * sum((c.conj().T @ c for c in cops), np.zeros((shape[0],) * 2, complex))
+
+    def rhs(t, v, lo, hi):
+        h = hamiltonian(min(max(t, lo), hi))
+        if len(shape) == 1:
+            return -1j * (h @ v)
+        rho = v.reshape(shape)
+        k = -1j * h - loss
+        d = k @ rho + rho @ k.conj().T
+        for c in cops:
+            d += c @ rho @ c.conj().T
+        return d.reshape(-1)
+
+    edges = [t_start, *(b for b in hamiltonian.breakpoints if t_start < b < t_end), t_end]
+    v = np.asarray(y, dtype=complex).reshape(-1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (a, b), v, method="RK45", rtol=rtol, atol=atol,
+                        args=(np.nextafter(a, b), np.nextafter(b, a)))
+        assert sol.success, sol.message
+        v = sol.y[:, -1]
+    return v.reshape(shape)

@@ -1,4 +1,5 @@
 """End-to-end CLI tests: exit codes, output files, determinism, formats."""
+import ast
 import csv
 import importlib
 import json
@@ -59,9 +60,9 @@ def test_invalid_value_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "integrator.dt=NaN", "integrator.dt=Infinity", "circuit.Cs=NaN", "circuit.Ce=Infinity",
     "bath.Tb=NaN", "bath.Tb=true", "bath.gammas=[NaN]", "bath.gammas=[1e-5, true]",
-    "sweep.tau=true", "integrator.rtol=NaN", "output.sample_dt=NaN",
-    "circuit.hbar_nu=[1e-22]", "integrator.rtol=[1e-9]",
-    "integrator.rtol=-1", "integrator.rtol=1e-15", "integrator.atol=-1",
+    "sweep.tau=true", "integrator.dt=-Infinity", "output.sample_dt=NaN",
+    "circuit.hbar_nu=[1e-22]", "integrator.dt=[0.005]",
+    "integrator.dt=-1", "integrator.dt=0", "integrator.dt=-0.0",
 ])
 def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, override):
     """Every numeric config field takes only finite numbers: NaN, +-Infinity and
@@ -69,6 +70,17 @@ def test_non_finite_or_bool_number_exits_2(tmp_path, capsys, override):
     out = tmp_path / "run"
     assert main(["validate", "--out", str(out), "--set", override]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["integrator.method=rk4", "integrator.rtol=1e-9",
+                                      "integrator.atol=1e-12"])
+def test_retired_integrator_key_exits_2(tmp_path, capsys, override):
+    """The fixed-step RK4 core is the only integrator: the adaptive method's
+    keys are unknown, in an old resolved_config.json as on the command line."""
+    out = tmp_path / "run"
+    assert main(["ramp", "--out", str(out), "--set", override]) == 2
+    assert "unknown key(s) in 'integrator'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -324,11 +336,21 @@ def test_validate_subcommand(tmp_path, capsys):
     assert "PASS" in summary and "FAIL" not in summary
 
 
-def _python(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
-    """Run `python argv...` on the same squidring package as this suite."""
-    env = {**os.environ, "PYTHONPATH": str(Path(squidring.__file__).parents[1])}
+def _python(*argv: str, cwd: Path, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python argv...` on the same squidring package as this suite;
+    kwargs go to subprocess.run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(squidring.__file__).parents[1]),
+           **kwargs.pop("env", {})}
     return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def _pyproject() -> dict:
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    return tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
 
 
 def test_entry_point_installed(tmp_path):
@@ -337,12 +359,7 @@ def test_entry_point_installed(tmp_path):
     The declared target is run the way a pip-generated console script runs
     it, so the check needs no install; an installed script on PATH is run too.
     """
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # Python 3.10
-        tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    scripts = _pyproject()["project"]["scripts"]
     assert "squidring" in scripts
     module, _, attr = scripts["squidring"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
@@ -367,8 +384,25 @@ def test_entry_point_installed(tmp_path):
         assert done.returncode == 0, done.stderr
 
 
+def test_package_does_not_depend_on_scipy():
+    """No module of the package imports scipy, and pyproject.toml lists it
+    only for the tests, which use it as an independent oracle."""
+    for path in sorted(Path(squidring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
+    project = _pyproject()["project"]
+    assert not any(d.startswith("scipy") for d in project["dependencies"])
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    """scipy is needed only by the adaptive integrator; startup must not pay for it."""
+    """The package needs no scipy; startup must not pay for it."""
     done = _python("-c", "import sys, squidring.cli; "
                    "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
                    cwd=tmp_path)
@@ -412,6 +446,47 @@ def test_default_commands_import_no_numpy_ma(tmp_path):
     done = _python("-c", code, json.dumps(NO_SCIPY_RUNS), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(NO_SCIPY_RUNS), False]
+
+
+# Sample grids too large to hold: the first three fail numpy's allocation (7.12
+# TiB, 14.2 PiB and 7.45 GiB), the others are more samples or steps than numpy
+# can size at all.
+OVERSIZED_GRIDS = [
+    ["ramp", "--set", "output.sample_dt=1e-9"],
+    ["sweep", "--set", "sweep.sample_dt=1e-12"],
+    ["sweep", "--set", "sweep.points=1000000000"],
+    ["ramp", "--set", "ramp.t_end=1e300"],
+    ["ramp", "--set", "output.sample_dt=5e-324"],
+    ["sweep", "--set", "sweep.points=10000000000000000000"],
+    ["validate", "--set", "integrator.dt=1e-300"],
+]
+ADDRESS_SPACE = 2 * 1024**3  # bytes: a cap below every grid above
+
+
+def test_oversized_sample_grid_exits_3(tmp_path):
+    """A grid too large to allocate ends the run with exit 3 and diagnostic.txt,
+    not a traceback. The runs share one child process whose address space is
+    capped, so a grid that a large machine could allocate fails there too, and
+    none is ever filled. One BLAS thread keeps the child's own reservations
+    small."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    code = ("import json, sys\n"
+            "from squidring.cli import main\n"
+            "runs = json.loads(sys.argv[1])\n"
+            "print(json.dumps([main(argv + ['--out', f'out{k}'])"
+            " for k, argv in enumerate(runs)]))\n")
+    done = _python("-c", code, json.dumps(OVERSIZED_GRIDS), cwd=tmp_path, preexec_fn=cap,
+                   env={"OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [3] * len(OVERSIZED_GRIDS)
+    assert done.stderr.count("numerical failure") == len(OVERSIZED_GRIDS)
+    for k in range(len(OVERSIZED_GRIDS)):
+        assert "MemoryError" in (tmp_path / f"out{k}" / "diagnostic.txt").read_text()
+        assert not (tmp_path / f"out{k}" / "summary.txt").exists()
 
 
 def _reference_csv(path: Path, records: dict) -> None:

@@ -140,7 +140,7 @@ def test_invalid_values_rejected(override):
     (sq.CircuitParams, "Cs", math.nan),
     (sq.CircuitParams, "hbar_nu", [1e-22]),
     (sq.IntegratorConfig, "dt", math.nan),
-    (sq.IntegratorConfig, "rtol", [1e-9]),
+    (sq.IntegratorConfig, "dt", [1e-9]),
     (sq.SweepConfig, "refine", "no"),
     (sq.RampConfig, "auto_t0", 1),
     (sq.BathConfig, "Tb", math.nan),
