@@ -5,15 +5,10 @@ flux in Phi0. See README for the protocol and the CLI.
 """
 from .circuit import (
     CircuitParams,
-    DimensionlessGroups,
     FluxDrive,
     RampHamiltonian,
-    StaticHamiltonian,
-    TruncatedModel,
-    build_he,
     build_hs,
     build_total,
-    ladder,
     truncate_to_eigenbasis,
 )
 from .dynamics import (
@@ -27,7 +22,6 @@ from .dynamics import (
 )
 from .experiments import (
     BathConfig,
-    ExchangeRegion,
     RampConfig,
     SweepConfig,
     default_model,
@@ -36,15 +30,9 @@ from .experiments import (
     run_ramp,
     run_sweep,
 )
-from .linalg import (
-    PositivityError,
-    herm_func,
-    partial_trace,
-    vn_entropy,
-)
+from .linalg import vn_entropy
 from .observables import (
     RECORD_COLUMNS,
-    LabeledBasis,
     labeled_basis,
     record_columns,
     time_averaged_energy,

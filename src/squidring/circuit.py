@@ -178,20 +178,13 @@ class DimensionlessGroups:
         )
 
 
-def _select(condition, if_true, if_false):
-    """np.where, or a plain conditional expression for one time."""
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, if_true, if_false)
-    return if_true if condition else if_false
-
-
 @dataclass(frozen=True)
 class FluxDrive:
     """Piecewise-linear external flux schedule, Phi0 / omega_s^-1 units.
 
     value(t): A for t <= t0, linear ramp to B over (t0, t0+tr], B afterwards.
     rate(t):  (B-A)/tr inside the ramp window, 0 outside (so rate(t0) is 0).
-    Both take one time, giving a float, or an array of times, giving an array.
+    Both return an array shaped like t, 0-d for one time.
     """
 
     A: float = DEFAULT_BIAS
@@ -212,14 +205,14 @@ class FluxDrive:
         t1 = self.t0 + self.tr
         return (self.t0 < t) & (t <= t1), t > t1
 
-    def value(self, t: float | np.ndarray) -> float | np.ndarray:
+    def value(self, t: float | np.ndarray) -> np.ndarray:
         inside, after = self._window(t)
-        return _select(inside, self.A + (self.B - self.A) * (t - self.t0) / self.tr,
-                       _select(after, self.B, self.A))
+        return np.where(inside, self.A + (self.B - self.A) * (t - self.t0) / self.tr,
+                        np.where(after, self.B, self.A))
 
-    def rate(self, t: float | np.ndarray) -> float | np.ndarray:
+    def rate(self, t: float | np.ndarray) -> np.ndarray:
         inside, _ = self._window(t)
-        return _select(inside, (self.B - self.A) / self.tr, 0.0)
+        return np.where(inside, (self.B - self.A) / self.tr, 0.0)
 
     @property
     def breakpoints(self) -> tuple[float, float]:
@@ -282,11 +275,8 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
 def drive_coefficients(phi_x: float | np.ndarray,
                        phi_rate: float | np.ndarray = 0.0) -> np.ndarray:
     """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
-    sin(2 pi phi_x), phi_rate; for a numpy array of fluxes, one row of them per
-    flux (with one rate for all of them, or one per flux)."""
-    if not isinstance(phi_x, np.ndarray):
-        return np.array([1.0, math.cos(2 * math.pi * phi_x), math.sin(2 * math.pi * phi_x),
-                         phi_rate])
+    sin(2 pi phi_x), phi_rate, along the last axis; one row of them per flux of
+    an array (with one rate for all of them, or one per flux)."""
     angle = 2 * np.pi * np.asarray(phi_x, dtype=float)
     return np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle),
                      np.full_like(angle, phi_rate)], axis=-1)
@@ -296,8 +286,6 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
     coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
     stacked per row."""
-    if coefficients.ndim == 1:  # one H: at one flux or a stretch midpoint
-        return (coefficients @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
     flat = pieces.reshape(pieces.shape[:-2] + (-1,))
     return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
         coefficients.shape[:-1] + pieces.shape[-2:])
@@ -442,15 +430,13 @@ def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> n
 
 
 class RampHamiltonian:
-    """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed.
-
-    Callable t -> dense Hamiltonian, or an array of times -> a stack of them.
-    `static_on(a, b)` reports whether the drive is frozen on an interval, or on
-    each of arrays of intervals, which the integrators exploit.
-    """
+    """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed,
+    in the integrators' Hamiltonian interface: `breakpoints`, where the drive
+    rate jumps; `static_on(a, b)`, whether the drive is frozen on each of
+    arrays of intervals [a, b]; and a call on an array of times, giving one H
+    per time (one H for one time)."""
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
-        self.model = model
         self.drive = drive
         self._pieces = drive_terms(model.ring, model.groups, model.de)
 
@@ -463,22 +449,7 @@ class RampHamiltonian:
         coefficients = drive_coefficients(self.drive.value(t), self.drive.rate(t))
         return _combine(coefficients, self._pieces)
 
-    def static_on(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
+    def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t0, t1 = self.drive.breakpoints
         return (b <= t0) | (a >= t1)
 
-
-class StaticHamiltonian:
-    """Constant H wrapped in the same interface as RampHamiltonian (an array of
-    times gives a read-only stack that repeats H once per time)."""
-
-    def __init__(self, h: np.ndarray):
-        self._h = np.asarray(h, dtype=complex)
-
-    breakpoints: tuple = ()
-
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self._h, np.shape(t) + self._h.shape) if np.ndim(t) else self._h
-
-    def static_on(self, a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
-        return np.full(np.shape(a), True) if np.ndim(a) else True

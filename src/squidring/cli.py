@@ -221,7 +221,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationError, PositivityError, ConvergenceError, MemoryError) as exc:
+    except (IntegrationError, PositivityError, ConvergenceError, MemoryError,
+            np.linalg.LinAlgError) as exc:
         write_config(cfg)  # as configured: a failed run may not have resolved auto_t0
         diag = out / "diagnostic.txt"
         diag.write_text(f"{type(exc).__name__}: {exc}\n")

@@ -3,20 +3,15 @@
 Both integrators work in the dimensionless units of the circuit module
 (hbar = 1, time in 1/omega_s). Both equations are the linear ODE
 dy/dt = G(t) y, with y = psi or rho, and share one fixed-step RK4 integrator
-core (`_evolve`). Hamiltonians are passed as callables t -> H. RampHamiltonian and
-StaticHamiltonian also take an array of times and return a stack of H; the
-core builds the K(t) of all RK4 stages of a knot interval from one such call
-(a plain callable is called once per stage time instead). Across such a ramp
-window interval a TDSE of dimension up to WINDOW_MAP_MAX_DIM builds the n
-per-step RK4 maps from that stack in three batched products, into buffers
-reused by every window knot of the run, and then takes one matrix-vector
-product per step; a larger TDSE, and the master equation, whose per-step map
-would be d^2 x d^2, run the RK4 stage loop. Objects exposing
-`breakpoints` and `static_on(a, b)` (which takes arrays of interval ends) let
-the core split at drive discontinuities and, on each run of frozen intervals,
-evaluate H once and apply the RK4 step map as one matrix power per knot; such
-a run must have one H throughout, as a continuous drive that is frozen
-before and after a ramp window has.
+core (`_evolve`). The Hamiltonian has the interface of circuit.RampHamiltonian:
+`breakpoints`, where the core splits at drive discontinuities; `static_on(a, b)`
+on arrays of interval ends, which intervals have a frozen drive; and a call on
+an array of times, giving a stack of H. On each run of frozen intervals the
+core takes H once and applies the RK4 step map as one matrix power per knot
+(such a run must have one H throughout, as a drive frozen before and after a
+ramp window has). Across a window interval it takes K at all RK4 stage times
+from one call; a TDSE of dimension up to WINDOW_MAP_MAX_DIM turns them into
+per-step maps, and a larger TDSE or the master equation runs the stage loop.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -29,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import HBAR, KB, RampHamiltonian, StaticHamiltonian, check_types
+from .circuit import HBAR, KB, check_types
 from .linalg import PositivityError, hermitize
 
 NORM_ABORT = 1e-6
@@ -57,10 +52,21 @@ class NormDriftError(IntegrationError):
 
 
 def thermal_occupation(Tb: float, omega_b: float) -> float:
-    """Bose-Einstein mean photon number 1/(exp(hbar w / kB T) - 1)."""
+    """Bose-Einstein mean photon number 1/(exp(hbar w / kB T) - 1): 0.0 where
+    exp overflows, as the occupation underflows there; ValueError where it is
+    not a finite number."""
     if Tb <= 0 or omega_b <= 0:
         raise ValueError("temperature and frequency must be positive")
-    return 1.0 / math.expm1(HBAR * omega_b / (KB * Tb))
+    try:
+        occupation = 1.0 / math.expm1(HBAR * omega_b / (KB * Tb))
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        occupation = math.inf
+    if occupation == math.inf:
+        raise ValueError(f"thermal occupation at Tb = {Tb!r} K, omega_b = {omega_b!r} rad/s "
+                         "is not finite")
+    return occupation
 
 
 @dataclass(frozen=True)
@@ -345,17 +351,16 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     each run of frozen intervals (a constant-H stretch; H at that interval's
     midpoint) and at every other interval (a window interval: K at its 2n + 1
     RK4 stage times a + j h/2, the last one b itself, from one call of the
-    Hamiltonian on the array of times, or one call per time for a plain
-    callable). A pass starts wherever H is taken, where (n, rounded span)
-    changes and after a knot that is not a sample. A frozen pass builds its
-    RK4 step map to the power n once and applies it once per knot. A window
-    interval is one `eq.window` call on its K stack: up to WINDOW_MAP_MAX_DIM
-    the TDSE's n per-step maps from three batched products into reused
-    buffers, then one matrix-vector product per step; otherwise the RK4 stage
-    loop. A pass over knots i + 1 .. j writes output rows row(i + 1) .. row(j),
-    row(k) being the number of samples before knot k, so a knot that is not a
-    sample (the last of its pass) lands in the next sample's row, which the
-    next pass overwrites.
+    Hamiltonian on the array of times). A pass starts wherever H is taken,
+    where (n, rounded span) changes and after a knot that is not a sample. A
+    frozen pass builds its RK4 step map to the power n once and applies it once
+    per knot. A window interval is one `eq.window` call on its K stack: up to
+    WINDOW_MAP_MAX_DIM the TDSE's n per-step maps from three batched products
+    into reused buffers, then one matrix-vector product per step; otherwise the
+    RK4 stage loop. A pass over knots i + 1 .. j writes output rows
+    row(i + 1) .. row(j), row(k) being the number of samples before knot k, so
+    a knot that is not a sample (the last of its pass) lands in the next
+    sample's row, which the next pass overwrites.
     H is shifted by its mean diagonal at the stretch's or interval's midpoint
     (`shift`; the TDSE phase it removes is restored on output). `_check` runs
     on the initial state and once per pass: drift and finiteness at every
@@ -367,13 +372,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     if not 0 < sample_dt < math.inf:
         raise ValueError(f"sample_dt must be a positive finite number, got {sample_dt!r}")
     cfg = config or IntegratorConfig()
-    knots, is_sample = _knots(t_start, t_end, sample_dt, getattr(hamiltonian, "breakpoints", ()))
-    static_on = getattr(hamiltonian, "static_on", lambda a, b: np.zeros(len(a), bool))
-    if isinstance(hamiltonian, (RampHamiltonian, StaticHamiltonian)):
-        h_stack = hamiltonian
-    else:
-        def h_stack(ts):
-            return np.stack([hamiltonian(t) for t in ts])
+    knots, is_sample = _knots(t_start, t_end, sample_dt, hamiltonian.breakpoints)
     dim = y.shape[0]
     eye = np.eye(dim)
 
@@ -383,7 +382,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         raise MemoryError(f"{steps.max():.3g} steps of dt = {cfg.dt!r} are too many to hold")
     steps = steps.astype(int)
     rounded = np.round(spans, 12)
-    frozen = static_on(knots[:-1], knots[1:])
+    frozen = hamiltonian.static_on(knots[:-1], knots[1:])
     fresh = ~frozen | ~np.concatenate(([False], frozen[:-1]))  # H is taken here
     starts = fresh | np.concatenate(
         ([True], (np.diff(steps) != 0) | (np.diff(rounded) != 0) | ~is_sample[1:-1]))
@@ -402,7 +401,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
             if not frozen[i]:
                 stages = a + np.arange(2 * n + 1) * (0.5 * h)
                 stages[-1] = b  # a + n h may round past b = t0 + tr, where the rate is 0
-                hs = h_stack(stages)
+                hs = hamiltonian(stages)
                 h_mid = hs[n]
             else:
                 # midpoint evaluation: drive rate is discontinuous exactly at breakpoints

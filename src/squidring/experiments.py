@@ -238,7 +238,7 @@ class StaticAverages:
         """<<He>> alone at one flux, with the bits of averages' first entry there,
         and without <<Hs>> or the half-span average; each flux is solved once."""
         if phi not in self._field:
-            phis = np.array([phi])  # a float would take math.cos, not the grid's np.cos
+            phis = np.array([phi])
             _, w, v = self._spectrum(phis)
             avg = closed_form_average(self.times, w[..., None, :], self._amplitudes(v, self.h_e))
             _check_finite(phis, avg)
@@ -498,7 +498,8 @@ def run_ramp(
     sample_dt: float = SAMPLE_DT,
     baths: BathParams | None = None,
 ) -> RampResult:
-    """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set."""
+    """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set.
+    ConfigError when the baths' thermal occupation is not finite."""
     cfg = resolve_t0(cfg, model)
     drive = cfg.drive
     ham = RampHamiltonian(model, drive)
@@ -510,6 +511,10 @@ def run_ramp(
     if baths is not None:
         if baths.omega_b is None:
             baths = replace(baths, omega_b=model.params.omega_s)
+        try:
+            baths.mean_occupation  # ValueError where it is not finite
+        except ValueError as exc:
+            raise ConfigError(f"bath: {exc}") from exc
         rho0 = QuantumState.mixed(state0.density(), state0.dims, t=0.0)
         traj = evolve_lindblad(
             rho0, ham, baths, model.collapse_operators(), t_end,

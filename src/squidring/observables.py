@@ -97,18 +97,15 @@ def closed_form_average(times: np.ndarray, energies: np.ndarray, amplitudes: np.
 
 def closed_form_time_average(times: np.ndarray, energies: np.ndarray,
                              amplitudes: np.ndarray,
-                             rel_tol: float = 0.01,
-                             ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
-    """time_averaged_energy of E(t) as closed_form_average takes it: the average
-    over the whole grid, and whether it agrees with the first half's."""
+                             rel_tol: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """time_averaged_energy of E(t) as closed_form_average takes it: the averages
+    over the whole grid, and whether each agrees with the first half's (arrays,
+    0-d for one spectrum and one amplitude matrix)."""
     times = np.asarray(times, float)
     avg = closed_form_average(times, energies, amplitudes)
     k = np.searchsorted(times, times[-1] / 2, side="right")
     avg_half = closed_form_average(times, energies, amplitudes, k - 1)
-    converged = np.abs(avg - avg_half) / np.maximum(np.abs(avg), 1e-30) < rel_tol
-    if avg.ndim == 0:
-        return float(avg), bool(converged)
-    return avg, converged
+    return avg, np.abs(avg - avg_half) / np.maximum(np.abs(avg), 1e-30) < rel_tol
 
 
 RECORD_COLUMNS = ("t", "P_10", "P_01", "I_e", "I_s", "ent_mag",

@@ -1,7 +1,8 @@
 """Reference definitions that only the tests use: the per-state observables
 that the batched records pass (`observables.record_columns`) is checked
-against, the static sweep's averages at one flux or a flux array, and an
-adaptive RK45 integration that the fixed-step RK4 core is checked against."""
+against, the static sweep's averages at one flux or a flux array, a constant
+Hamiltonian in the integrators' interface, and an adaptive RK45 integration
+that the fixed-step RK4 core is checked against."""
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -63,6 +64,26 @@ def static_averages(
     if np.ndim(phi_x) == 0:
         return tuple(column.item() for column in columns)
     return columns
+
+
+class StaticHamiltonian:
+    """A constant H in the integrators' Hamiltonian interface (that of
+    circuit.RampHamiltonian): no breakpoints, and a call on an array of times
+    gives a read-only stack that repeats H once per time. `frozen` is what
+    static_on reports for every interval: False makes each one a ramp window
+    interval, so the integrator steps through it stage by stage."""
+
+    breakpoints = ()
+
+    def __init__(self, h: np.ndarray, frozen: bool = True):
+        self._h = np.asarray(h, dtype=complex)
+        self.frozen = frozen
+
+    def __call__(self, t) -> np.ndarray:
+        return np.broadcast_to(self._h, np.shape(t) + self._h.shape)
+
+    def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(a), self.frozen)
 
 
 def ivp_evolution(hamiltonian, y, t_start: float, t_end: float, cops=(),

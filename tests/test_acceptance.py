@@ -14,7 +14,6 @@ from squidring.circuit import (
     CircuitParams,
     DimensionlessGroups,
     FluxDrive,
-    StaticHamiltonian,
     build_hs,
     build_total,
     fock_ring_ops,
@@ -23,7 +22,7 @@ from squidring.circuit import (
 from squidring.dynamics import BathParams, QuantumState, evolve_lindblad, evolve_tdse
 
 import acceptance_report
-from oracles import entanglement_indices
+from oracles import StaticHamiltonian, entanglement_indices
 
 BIAS = 0.42864
 TWIN = 0.57136

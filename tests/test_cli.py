@@ -329,6 +329,45 @@ def test_non_finite_sweep_average_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cold_bath_runs(tmp_path):
+    """At 10 mK hbar omega_b / kB Tb is about 4,400, beyond exp's float range:
+    the thermal occupation is 0, and the run writes its data files."""
+    out = tmp_path / "cold"
+    assert main(["dissipative", "--out", str(out), "--set", "bath.Tb=0.01"]
+                + SHORT_RAMP) == 0
+    assert (out / "dissipative_gamma_1em05.csv").exists()
+    assert (out / "dissipative_gamma_0.0001.csv").exists()
+
+
+def test_bath_with_infinite_occupation_exits_2(tmp_path, capsys):
+    """hbar omega_b / kB Tb underflows to 0 at omega_b = 1e-300 rad/s, so the
+    occupation 1/(e^0 - 1) is not finite: a config error naming the bath."""
+    out = tmp_path / "hot"
+    assert main(["dissipative", "--out", str(out), "--set", "bath.omega_b=1e-300"]
+                + SHORT_RAMP) == 2
+    err = capsys.readouterr().err
+    assert "config error: bath" in err and "not finite" in err
+    assert not list(out.glob("dissipative_gamma_*"))
+    assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ramp", "sweep"])
+def test_eigensolver_failure_exits_3(tmp_path, capsys, command):
+    """At hbar_nu = 1e300 J the ring Hamiltonian's eigh does not converge (in
+    truncate_to_eigenbasis for ramp, StaticAverages for sweep): a numerical
+    failure with a diagnostic, and no data file. nu/omega_s overflows to inf
+    there, and inf times the zero imaginary parts of the ring pieces is the
+    NaN that eigh fails on; numpy reports that product as invalid."""
+    out = tmp_path / command
+    with np.errstate(invalid="ignore"):
+        code = main([command, "--out", str(out), "--set", "circuit.hbar_nu=1e300",
+                     "--set", "sweep.points=5", "--set", "sweep.tau=200"] + SHORT_RAMP)
+    assert code == 3
+    assert "LinAlgError" in (out / "diagnostic.txt").read_text()
+    assert not (out / f"{command}.csv").exists() and not (out / "summary.txt").exists()
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_validate_subcommand(tmp_path, capsys):
     out = tmp_path / "val"
     assert main(["validate", "--out", str(out)]) == 0

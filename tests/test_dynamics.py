@@ -15,7 +15,6 @@ from squidring.circuit import (
     CircuitParams,
     FluxDrive,
     RampHamiltonian,
-    StaticHamiltonian,
     build_total,
     ladder,
 )
@@ -34,7 +33,7 @@ from squidring.dynamics import (
 from squidring.experiments import RampConfig, run_ramp
 from squidring.linalg import PositivityError, hermitize
 
-from oracles import ivp_evolution
+from oracles import StaticHamiltonian, ivp_evolution
 
 OMEGA_S = CircuitParams().omega_s
 
@@ -55,6 +54,12 @@ def test_thermal_occupation_values():
         thermal_occupation(-1.0, OMEGA_S)
     with pytest.raises(ValueError):
         thermal_occupation(4.2, 0.0)
+    # exp overflows past hbar w / kB T ~ 709.8, and 1/(e^x - 1) is ~1e-304 at 700
+    assert thermal_occupation(0.01, OMEGA_S) == 0.0
+    assert 0.0 < thermal_occupation(HBAR * OMEGA_S / (KB * 700.0), OMEGA_S) < 1e-300
+    # hbar w / kB T underflows to 0: 1/(e^0 - 1) is not finite
+    with pytest.raises(ValueError, match="not finite"):
+        thermal_occupation(4.2, 1e-300)
 
 
 def test_bath_params():
@@ -280,6 +285,34 @@ def test_positivity_abort_names_the_first_offending_sample():
                         config=IntegratorConfig(dt=dt), sample_dt=dt)
 
 
+def test_static_hamiltonian_wrapper():
+    h = np.diag([1.0, 2.0]).astype(complex)
+    sh = StaticHamiltonian(h)
+    assert sh.static_on(0.0, 1e9)
+    a, b = np.array([0.0, 5.0]), np.array([5.0, 1e9])
+    np.testing.assert_array_equal(sh.static_on(a, b), [True, True])
+    np.testing.assert_array_equal(StaticHamiltonian(h, frozen=False).static_on(a, b),
+                                  [False, False])
+    np.testing.assert_array_equal(sh(3.7), h)
+    np.testing.assert_array_equal(sh(np.array([0.0, 1.0, 2.0])), [h, h, h])
+    assert sh.breakpoints == ()
+
+
+@pytest.mark.parametrize("equation", ["tdse", "lindblad"])
+def test_plain_callable_is_not_a_hamiltonian(equation):
+    """The integrators take one Hamiltonian interface (breakpoints, static_on,
+    a call on an array of times); a plain callable t -> H raises before any
+    step is taken."""
+    def h(t):
+        return np.diag([0.0, 1.0]).astype(complex)
+
+    with pytest.raises(AttributeError, match="breakpoints"):
+        if equation == "tdse":
+            evolve_tdse(QuantumState.pure(np.array([1.0, 0.0]), (1, 2)), h, 1.0)
+        else:
+            _lindblad_2x2(h, t_end=1.0)
+
+
 def _lindblad_2x2(h, **kw):
     """Damped two-level run: one decay channel at gamma = 0.1."""
     baths = BathParams(gamma_e=0.1, gamma_s=0.0, omega_b=OMEGA_S)
@@ -293,18 +326,19 @@ def _lindblad_2x2(h, **kw):
 def test_non_finite_state_aborts(equation):
     """A run that overflows to NaN raises instead of returning NaN states, and
     no overflow warning escapes on the way (the suite turns warnings into errors).
-    A plain callable makes every interval a window interval: the TDSE's
-    per-step maps stay finite there, and psi overflows through their products."""
+    An H that is never frozen makes every interval a window interval: the
+    TDSE's per-step maps stay finite there, and psi overflows through their
+    products."""
     h = np.diag([0.0, 1e4]).astype(complex)
     kw = dict(t_end=100.0, config=IntegratorConfig(dt=1.0), sample_dt=100.0)
     with pytest.raises(NormDriftError):
         if equation.startswith("tdse"):
             state = QuantumState.pure(np.array([1.0, 1.0]) / math.sqrt(2), (1, 2))
-            evolve_tdse(state, StaticHamiltonian(h) if equation == "tdse" else lambda t: h, **kw)
+            evolve_tdse(state, StaticHamiltonian(h, frozen=equation == "tdse"), **kw)
         elif equation == "lindblad step map":
             _lindblad_2x2(StaticHamiltonian(h), **kw)
         else:
-            _lindblad_2x2(lambda t: h, **kw)
+            _lindblad_2x2(StaticHamiltonian(h, frozen=False), **kw)
 
 
 def _both_equations(model, equation, hamiltonian):
@@ -330,7 +364,7 @@ def test_step_map_matches_stepping(model, equation):
     """The cached RK4 step-map power equals RK4 step by step on a constant H."""
     h = build_total(model, 0.42864)
     mapped = _both_equations(model, equation, StaticHamiltonian(h))
-    stepped = _both_equations(model, equation, lambda t: h)
+    stepped = _both_equations(model, equation, StaticHamiltonian(h, frozen=False))
     assert _max_deviation(mapped, stepped) < 1e-12
 
 

@@ -16,7 +16,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 import squidring as sq
 from squidring import circuit, experiments, observables
-from squidring.circuit import CircuitParams, StaticHamiltonian, build_he, build_total
+from squidring.circuit import CircuitParams, build_he, build_total
 from squidring.dynamics import IntegrationError, QuantumState, evolve_tdse
 from squidring.experiments import (
     StaticAverages,
@@ -26,7 +26,7 @@ from squidring.experiments import (
 )
 from squidring.observables import labeled_basis, time_averaged_energy
 
-from oracles import static_averages
+from oracles import StaticHamiltonian, static_averages
 
 BIAS = 0.42864
 
