@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from typing import get_args, get_origin, get_type_hints
 
@@ -120,6 +120,14 @@ class CircuitParams:
                 raise ValueError(f"CircuitParams.{name} must be positive")
         if not 0 <= self.mu_es < 1:
             raise ValueError("CircuitParams.mu_es must lie in [0, 1)")
+        try:  # the model is built from these, so each must be finite
+            groups = asdict(DimensionlessGroups.from_params(self))
+        except ArithmeticError as exc:
+            raise ValueError(f"CircuitParams values give no dimensionless groups: {exc}") from None
+        bad = [name for name, value in groups.items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"CircuitParams values make the dimensionless group(s) "
+                             f"{', '.join(bad)} non-finite")
 
     @property
     def omega_s(self) -> float:

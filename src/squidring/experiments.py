@@ -427,11 +427,20 @@ def run_sweep(
     ds: int = DEFAULT_DS,
     pre_dim: int = DEFAULT_PRE_DIM,
 ) -> SweepResult:
-    """Time-averaged component energies vs static bias flux, plus exchange regions."""
+    """Time-averaged component energies vs static bias flux, plus exchange regions.
+
+    H_s(1 - phi) is parity times H_s(phi) times parity, so the averages and flags
+    at twin fluxes are equal: on a grid symmetric about 1/2 only its lower half
+    (with the middle) is solved and the upper half is that half reversed."""
     static = StaticAverages(params or CircuitParams(), cfg.tau, cfg.sample_dt, de, ds, pre_dim)
     grid = cfg.grid
-    blocks = [static.averages(grid[i:i + SWEEP_BLOCK]) for i in range(0, len(grid), SWEEP_BLOCK)]
-    avg_e, avg_s, conv_e, conv_s = (np.concatenate(column) for column in zip(*blocks))
+    n = len(grid)
+    symmetric = np.abs(grid + grid[::-1] - 1.0).max() <= 4 * np.finfo(float).eps
+    solved = grid[:(n + 1) // 2] if symmetric else grid
+    blocks = [static.averages(solved[i:i + SWEEP_BLOCK])
+              for i in range(0, len(solved), SWEEP_BLOCK)]
+    avg_e, avg_s, conv_e, conv_s = (np.concatenate([c, c[:n - len(solved)][::-1]])
+                                    for c in map(np.concatenate, zip(*blocks)))
     records = {"phi_x": grid, "avg_E_e": avg_e, "avg_E_s": avg_s, "converged": conv_e & conv_s}
     ne, _ = INITIAL_LABEL
     baseline = (ne + 0.5) * static.groups.omega_ratio

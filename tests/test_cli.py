@@ -351,17 +351,36 @@ def test_bath_with_infinite_occupation_exits_2(tmp_path, capsys):
     assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "circuit.hbar_nu=1e300",  # nu/omega_s overflows to inf
+    "circuit.Cs=1e-320",  # Lambda_s Cs underflows to 0, so omega_s divides by zero
+    "circuit.Lambda_s=1e-320",
+    "circuit.Ce=1e-320",  # the same for omega_e
+    "circuit.Lambda_e=1e-320",
+])
+def test_circuit_with_non_finite_groups_exits_2(tmp_path, capsys, override):
+    """Circuit values whose dimensionless groups are not finite cannot give a
+    model: a config error naming the circuit, before any output or warning."""
+    out = tmp_path / "bad"
+    assert main(["ramp", "--out", str(out), "--set", override] + SHORT_RAMP) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'circuit'" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["ramp", "sweep"])
-def test_eigensolver_failure_exits_3(tmp_path, capsys, command):
-    """At hbar_nu = 1e300 J the ring Hamiltonian's eigh does not converge (in
-    truncate_to_eigenbasis for ramp, StaticAverages for sweep): a numerical
-    failure with a diagnostic, and no data file. nu/omega_s overflows to inf
-    there, and inf times the zero imaginary parts of the ring pieces is the
-    NaN that eigh fails on; numpy reports that product as invalid."""
+def test_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    """An eigh that does not converge (in truncate_to_eigenbasis for ramp,
+    StaticAverages for sweep) is a numerical failure with a diagnostic, and no
+    data file."""
+    def eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     out = tmp_path / command
-    with np.errstate(invalid="ignore"):
-        code = main([command, "--out", str(out), "--set", "circuit.hbar_nu=1e300",
-                     "--set", "sweep.points=5", "--set", "sweep.tau=200"] + SHORT_RAMP)
+    code = main([command, "--out", str(out),
+                 "--set", "sweep.points=5", "--set", "sweep.tau=200"] + SHORT_RAMP)
     assert code == 3
     assert "LinAlgError" in (out / "diagnostic.txt").read_text()
     assert not (out / f"{command}.csv").exists() and not (out / "summary.txt").exists()

@@ -282,7 +282,8 @@ def test_default_sweep_regions_are_pinned(full_sweep):
 def test_refinement_solves_each_flux_once(monkeypatch):
     """The default sweep builds the pre_dim ring pieces once, asks for <<He>> at 54
     fluxes while refining but solves the 50 distinct ones once each, and takes
-    two trapezoid phase sums per grid block but one per refined flux."""
+    two trapezoid phase sums per grid block but one per refined flux; the grid
+    is symmetric about 1/2, so its blocks cover the 101 fluxes up to 0.5 only."""
     counts = Counter()
     fluxes = []
 
@@ -310,8 +311,43 @@ def test_refinement_solves_each_flux_once(monkeypatch):
     monkeypatch.setattr(StaticAverages, "field_average", field_average)
     experiments.run_sweep(sq.SweepConfig())
     assert (len(fluxes), len(set(fluxes))) == (54, 50)
-    assert counts == {"<<He>> solves": 50, "phase sums": 2 * 26 + 50,  # 201 fluxes, blocks of 8
+    assert counts == {"<<He>> solves": 50, "phase sums": 2 * 13 + 50,  # 101 fluxes, blocks of 8
                       "pre_dim ring pieces": 1}
+
+
+def _solved_fluxes(monkeypatch, cfg):
+    """The fluxes run_sweep(cfg) passes to StaticAverages.averages, in order."""
+    fluxes = []
+    real_averages = StaticAverages.averages
+
+    def averages(self, phi):
+        fluxes.extend(phi)
+        return real_averages(self, phi)
+
+    monkeypatch.setattr(StaticAverages, "averages", averages)
+    experiments.run_sweep(cfg)
+    return np.array(fluxes)
+
+
+def test_symmetric_grid_solves_its_lower_half(monkeypatch):
+    """The default grid is symmetric about 1/2, so the fluxes up to 0.5 are
+    solved and the twins above are mirrored; a grid ending at 0.69 has no
+    twins, so all of its fluxes are solved."""
+    cfg = sq.SweepConfig(refine=False)
+    assert np.array_equal(_solved_fluxes(monkeypatch, cfg), cfg.grid[:101])
+    cfg = replace(cfg, phi_max=0.69)
+    assert np.array_equal(_solved_fluxes(monkeypatch, cfg), cfg.grid)
+
+
+def test_mirrored_sweep_is_the_full_static_pass(full_sweep):
+    """The mirrored default sweep equals the static pass over all 201 fluxes
+    within 1e-12, with the same convergence flags."""
+    records = full_sweep.records
+    avg_e, avg_s, conv_e, conv_s = static_averages(
+        CircuitParams(), records["phi_x"], tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
+    assert np.max(np.abs(records["avg_E_e"] - avg_e)) < 1e-12
+    assert np.max(np.abs(records["avg_E_s"] - avg_s)) < 1e-12
+    assert np.array_equal(records["converged"], conv_e & conv_s)
 
 
 def _poison(monkeypatch, poisoned):
@@ -330,6 +366,17 @@ def test_non_finite_grid_average_raises(monkeypatch):
     cfg = sq.SweepConfig(phi_min=0.41, phi_max=0.45, points=21, refine=False)
     _poison(monkeypatch, lambda phi: phi == cfg.grid[7])
     with pytest.raises(IntegrationError, match="non-finite static time average"):
+        experiments.run_sweep(cfg)
+
+
+def test_non_finite_average_on_a_symmetric_grid_raises(monkeypatch):
+    """A NaN at a solved flux of a grid symmetric about 1/2 still fails the
+    sweep, naming that flux, and is not hidden by the mirror."""
+    cfg = sq.SweepConfig(phi_min=0.40, phi_max=0.60, points=21, refine=False)
+    bad = cfg.grid[3]
+    _poison(monkeypatch, lambda phi: phi == bad)
+    with pytest.raises(IntegrationError, match=f"non-finite static time average at "
+                                               f"phi_x = {bad:.17g} Phi0"):
         experiments.run_sweep(cfg)
 
 

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 from squidring.circuit import (
     DEFAULT_CS,
+    DEFAULT_LAMBDA_S,
     HBAR,
     KB,
     CircuitParams,
@@ -273,17 +274,31 @@ def test_closed_form_average_is_sampled_trapezoid(parity, spectrum, tau, sample_
         assert flag == want_flag
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.floats(0.35, 0.48), st.floats(0.008, 0.012))
-def test_static_averages_twin_symmetry(phi, mu_es):
-    """The ring potential at bias 1 - phi mirrors the one at phi, so the
-    static time-averaged energies agree."""
-    params = CircuitParams(mu_es=mu_es)
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.8, 1.2), st.floats(0.8, 1.2), st.floats(0.005, 0.02),
+       st.lists(st.floats(0.30, 0.70), min_size=1, max_size=8))
+def test_static_averages_twin_symmetry(cs_scale, lambda_scale, mu_es, fluxes):
+    """Parity (-1)^n on the ring's Fock basis keeps cos_phi and the harmonic part
+    and flips sin_phi, and sin 2 pi phi is the only drive coefficient that flips
+    at 1 - phi, so H_s(1 - phi) = parity H_s(phi) parity; with parity on the field
+    too, the coupling and |1e,0s> are kept. Over circuits around the defaults the
+    averages at phi and 1 - phi therefore agree, and so do the convergence flags
+    wherever |avg - avg_half| / |avg| is not within round-off of rel_tol (0.01)."""
+    params = CircuitParams(Cs=cs_scale * DEFAULT_CS, Lambda_s=lambda_scale * DEFAULT_LAMBDA_S,
+                           mu_es=mu_es)
     grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
+    phi = np.array(fluxes)
     left = static_averages(params, phi, **grid)
     right = static_averages(params, 1.0 - phi, **grid)
-    assert abs(left[0] - right[0]) < 1e-10
-    assert abs(left[1] - right[1]) < 1e-10
+    for got, want in zip(left[:2], right[:2]):
+        assert np.max(np.abs(got - want)) < 1e-11
+    # the first half of the 2000 omega_s^-1 grid is the 1000 omega_s^-1 grid
+    half = static_averages(params, phi, **{**grid, "tau": 1000.0})
+    for avg, avg_half, flag, twin_flag in zip(left[:2], half[:2], left[2:], right[2:]):
+        spread = np.abs(avg - avg_half) / np.abs(avg)
+        clear = np.abs(spread - 0.01) > 1e-9
+        assert np.array_equal(flag[clear], (spread < 0.01)[clear])
+        assert np.array_equal(flag[clear], twin_flag[clear])
 
 
 @settings(max_examples=40, deadline=None)
