@@ -228,28 +228,27 @@ class FluxDrive:
 
 
 def ladder(n: int) -> np.ndarray:
-    """Fock-basis annihilation operator, a[k-1, k] = sqrt(k)."""
+    """Fock-basis annihilation operator, a[k-1, k] = sqrt(k) (real)."""
     if n < 2:
         raise ValueError(f"ladder dimension must be >= 2, got {n}")
-    return np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, n)), 1)
 
 
 @dataclass(frozen=True)
 class RingOperators:
-    """Ring operators in some basis, all dimensionless (hbar*omega_s units). Each
-    field is one matrix, or a stack of them shaped (..., dim, dim). In terms of
-    the Fock basis's LC ladder operator a:
+    """Static ring operators in some basis, dimensionless (hbar*omega_s units),
+    real symmetric in the Fock basis and the ring's eigenbases; each is a matrix
+    or a (..., dim, dim) stack. With the Fock basis's LC ladder operator a:
 
     harmonic : a†a + 1/2 (the LC part of Hs)
     cos_phi / sin_phi : cos / sin of the flux angle lambda_s (a + a†)
-    flux : a + a†        charge : i (a† - a)
+    flux : a + a†        (the charge i (a† - a) comes only with the drive rate)
     """
 
     harmonic: np.ndarray
     cos_phi: np.ndarray
     sin_phi: np.ndarray
     flux: np.ndarray
-    charge: np.ndarray
 
     def transformed(self, t: np.ndarray) -> "RingOperators":
         """Project every operator with a (..., dim, k) isometry of basis columns;
@@ -273,26 +272,22 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
         cos_phi=herm_func(lambda_s * x, np.cos),
         sin_phi=herm_func(lambda_s * x, np.sin),
         flux=x,
-        charge=1j * (a.conj().T - a),
     )
     for op in vars(ops).values():
         op.flags.writeable = False
     return ops
 
 
-def drive_coefficients(phi_x: float | np.ndarray,
-                       phi_rate: float | np.ndarray = 0.0) -> np.ndarray:
+def drive_coefficients(phi_x: float | np.ndarray) -> np.ndarray:
     """Weights of the ring_pieces / drive_terms pieces: 1, cos(2 pi phi_x),
-    sin(2 pi phi_x), phi_rate, along the last axis; one row of them per flux of
-    an array (with one rate for all of them, or one per flux)."""
+    sin(2 pi phi_x), along the last axis; one row of them per flux of an array."""
     angle = 2 * np.pi * np.asarray(phi_x, dtype=float)
-    return np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle),
-                     np.full_like(angle, phi_rate)], axis=-1)
+    return np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle)], axis=-1)
 
 
 def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """sum_k coefficients[..., k] * pieces[..., k, :, :]: one matrix per row of
-    coefficients, from pieces (4, n, n) shared by every row or (..., 4, n, n)
+    coefficients, from pieces (k, n, n) shared by every row or (..., k, n, n)
     stacked per row."""
     flat = pieces.reshape(pieces.shape[:-2] + (-1,))
     return (coefficients[..., None, :] @ flat)[..., 0, :].reshape(
@@ -300,25 +295,25 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
 
 
 def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
-    """The ring Hamiltonian's flux-independent pieces, stacked as (..., 4, dim, dim):
-    harmonic, -nu cos_phi, nu sin_phi, -drive_scale charge. The cosine of the
+    """The static ring Hamiltonian's flux-independent pieces, stacked as
+    (..., 3, dim, dim): harmonic, -nu cos_phi, nu sin_phi. The cosine of the
     shifted flux is expanded so that the operator-valued trig functions are the
     precomputed cos_phi/sin_phi."""
     return np.stack([ops.harmonic, -groups.nu_tilde * ops.cos_phi,
-                     groups.nu_tilde * ops.sin_phi, -groups.drive_scale * ops.charge], axis=-3)
+                     groups.nu_tilde * ops.sin_phi], axis=-3)
 
 
 def build_hs(ops: RingOperators, groups: DimensionlessGroups,
-             phi_x: float | np.ndarray, phi_rate: float = 0.0) -> np.ndarray:
-    """Ring Hamiltonian in hbar*omega_s units, in whatever basis `ops` uses; an
-    array of fluxes gives a stack, one Hamiltonian per flux (and per entry of
-    stacked `ops`)."""
-    return _combine(drive_coefficients(phi_x, phi_rate), ring_pieces(ops, groups))
+             phi_x: float | np.ndarray) -> np.ndarray:
+    """Static ring Hamiltonian (dPhix/dt = 0) in hbar*omega_s units, in whatever
+    basis `ops` uses; an array of fluxes gives a stack, one Hamiltonian per flux
+    (and per entry of stacked `ops`)."""
+    return _combine(drive_coefficients(phi_x), ring_pieces(ops, groups))
 
 
 def build_he(de: int, groups: DimensionlessGroups) -> np.ndarray:
     """Field Hamiltonian (hbar*omega_s units): (omega_e/omega_s)(n + 1/2)."""
-    return groups.omega_ratio * np.diag(np.arange(de) + 0.5).astype(complex)
+    return groups.omega_ratio * np.diag(np.arange(de) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -351,11 +346,10 @@ class TruncatedModel:
     def _ring_pieces(self) -> np.ndarray:
         return ring_pieces(self.ring, self.groups)
 
-    def ring_hamiltonian(self, phi_x: float | np.ndarray,
-                         phi_rate: float = 0.0) -> np.ndarray:
+    def ring_hamiltonian(self, phi_x: float | np.ndarray) -> np.ndarray:
         """build_hs on the truncated ring, from pieces built once per model; an
         array of fluxes gives a stack, one Hamiltonian per flux."""
-        return _combine(drive_coefficients(phi_x, phi_rate), self._ring_pieces)
+        return _combine(drive_coefficients(phi_x), self._ring_pieces)
 
     def ring_eigenbasis(self, phi_x: float) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues/vectors of the truncated ring Hamiltonian at phi_x."""
@@ -413,40 +407,44 @@ def truncate_to_eigenbasis(
 
 
 def drive_terms(ring: RingOperators, groups: DimensionlessGroups, de: int) -> np.ndarray:
-    """The total Hamiltonian's flux-independent pieces, stacked as (..., 4, dim, dim),
-    so that H = _combine(drive_coefficients(phi_x, phi_rate), pieces): the
-    ring_pieces on the product space of `de` field levels and the ring in the
+    """The static total Hamiltonian's flux-independent pieces, stacked as
+    (..., 3, dim, dim), so that H = _combine(drive_coefficients(phi_x), pieces):
+    the ring_pieces on the product space of `de` field levels and the ring in the
     basis of `ring`, with He - Hes added to piece 0. A stack of ring operators
     gives one stack of pieces per entry."""
     a = ladder(de)
     ie = np.eye(de)
     # every piece is a field (x) ring product; the last two are folded into piece 0
-    field = np.stack([ie, ie, ie, ie, build_he(de, groups), a + a.conj().T])
+    field = np.stack([ie, ie, ie, build_he(de, groups), a + a.conj().T])
     eye_s = np.broadcast_to(np.eye(ring.flux.shape[-1]), ring.flux.shape)
     rings = np.concatenate([ring_pieces(ring, groups),
                             np.stack([eye_s, -groups.kappa * ring.flux], axis=-3)], axis=-3)
     dim = de * rings.shape[-1]
     p = np.einsum("kij,...kab->...kiajb", field, rings).reshape(*rings.shape[:-2], dim, dim)
-    p[..., 0, :, :] += p[..., 4, :, :] + p[..., 5, :, :]
-    return p[..., :4, :, :]
+    p[..., 0, :, :] += p[..., 3, :, :] + p[..., 4, :, :]
+    return p[..., :3, :, :]
 
 
-def build_total(model: TruncatedModel, phi_x: float, phi_rate: float = 0.0) -> np.ndarray:
-    """Total H = He + Hs - Hes on the product space, hbar*omega_s units."""
-    return _combine(drive_coefficients(phi_x, phi_rate),
-                    drive_terms(model.ring, model.groups, model.de))
+def build_total(model: TruncatedModel, phi_x: float) -> np.ndarray:
+    """Static total H = He + Hs - Hes on the product space, hbar*omega_s units."""
+    return _combine(drive_coefficients(phi_x), drive_terms(model.ring, model.groups, model.de))
 
 
 class RampHamiltonian:
-    """H(t) along a FluxDrive schedule, with the drive_terms pieces precomputed,
-    in the integrators' Hamiltonian interface: `breakpoints`, where the drive
-    rate jumps; `static_on(a, b)`, whether the drive is frozen on each of
-    arrays of intervals [a, b]; and a call on an array of times, giving one H
-    per time (one H for one time)."""
+    """H(t) along a FluxDrive schedule, in the integrators' Hamiltonian
+    interface: `breakpoints`, where the drive rate jumps; `static_on(a, b)`,
+    whether the drive is frozen on each of arrays of intervals [a, b]; and a
+    call on an array of times, giving one H per time (one H for one time).
+
+    H(t) is build_total at the drive's flux plus the rate times the one complex
+    piece, the charge term -drive_scale i (a_s† - a_s); all pieces are precomputed."""
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.drive = drive
-        self._pieces = drive_terms(model.ring, model.groups, model.de)
+        a_s = model.collapse_operators()[1]  # the ring's bare ladder operator
+        charge_piece = -model.groups.drive_scale * 1j * (a_s.conj().T - a_s)
+        self._pieces = np.concatenate([drive_terms(model.ring, model.groups, model.de),
+                                       [charge_piece]])
 
     @property
     def breakpoints(self) -> tuple[float, float]:
@@ -454,7 +452,8 @@ class RampHamiltonian:
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         """H at time t; an array of times gives a stack, one H per time."""
-        coefficients = drive_coefficients(self.drive.value(t), self.drive.rate(t))
+        rate = self.drive.rate(t)[..., None]
+        coefficients = np.concatenate([drive_coefficients(self.drive.value(t)), rate], -1)
         return _combine(coefficients, self._pieces)
 
     def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -193,8 +193,9 @@ class StaticAverages:
     He on the product space and the sample grid. At each flux the ring is
     re-diagonalized, so INITIAL_LABEL is local, and the averages are
     time_averaged_energy's trapezoid rule on the sample grid of spacing
-    ~sample_dt, summed in closed form in the eigenbasis of H. A non-finite
-    average raises IntegrationError.
+    ~sample_dt, summed in closed form in the eigenbasis of H. The flux is
+    static, so H has no charge term and every matrix here is real (float64).
+    A non-finite average raises IntegrationError.
     """
 
     def __init__(self, params: CircuitParams, tau: float, sample_dt: float,

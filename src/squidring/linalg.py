@@ -1,6 +1,6 @@
-"""Dense complex linear algebra primitives.
+"""Dense linear algebra primitives, real or complex.
 
-Everything here operates on plain numpy arrays (complex, square). Density
+Everything here operates on plain square numpy arrays, real or complex. Density
 matrices and Hamiltonians share the same currency; helpers below check the
 flags (Hermitian / positive) that the rest of the package relies on.
 `hermitize`, `partial_trace`, `density_eigenvalues` and `vn_entropy` also take

@@ -1,14 +1,15 @@
 """Reference definitions that only the tests use: the per-state observables
 that the batched records pass (`observables.record_columns`) is checked
-against, the static sweep's averages at one flux or a flux array, a constant
-Hamiltonian in the integrators' interface, and an adaptive RK45 integration
-that the fixed-step RK4 core is checked against."""
+against, the static sweep's averages at one flux or a flux array, the sweep
+in complex arithmetic, a constant Hamiltonian in the integrators' interface,
+and an adaptive RK45 integration that the fixed-step RK4 core is checked
+against."""
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from squidring.circuit import CircuitParams
+from squidring.circuit import CircuitParams, RingOperators, ring_pieces
 from squidring.dynamics import QuantumState
-from squidring.experiments import StaticAverages
+from squidring.experiments import INITIAL_LABEL, StaticAverages, SweepConfig, _detect_regions
 from squidring.linalg import partial_trace, vn_entropy
 from squidring.observables import LabeledBasis
 
@@ -64,6 +65,31 @@ def static_averages(
     if np.ndim(phi_x) == 0:
         return tuple(column.item() for column in columns)
     return columns
+
+
+class ComplexStaticAverages(StaticAverages):
+    """StaticAverages with its Fock ring operators and He cast to complex128
+    and its ring pieces built from them, so that both eigensolves, the ring
+    projection, the coupled pieces and the amplitudes run as complex Hermitian
+    problems, as the sweep ran them while its static pieces were complex."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ops = RingOperators(**{name: op.astype(complex)
+                                    for name, op in vars(self.ops).items()})
+        self.pieces = ring_pieces(self.ops, self.groups)
+        self.h_e = self.h_e.astype(complex)
+
+
+def complex_sweep(cfg: SweepConfig) -> tuple:
+    """(avg_E_e, avg_E_s, converged, regions) of the sweep cfg at the default
+    circuit and truncation in complex arithmetic: every grid flux solved in one
+    stack, with no twin mirror, and the regions refined on ComplexStaticAverages."""
+    static = ComplexStaticAverages(CircuitParams(), cfg.tau, cfg.sample_dt, 4, 4, 40)
+    avg_e, avg_s, conv_e, conv_s = static.averages(cfg.grid)
+    baseline = (INITIAL_LABEL[0] + 0.5) * static.groups.omega_ratio
+    regions = _detect_regions(cfg, cfg.grid, avg_e, baseline, static.field_average)
+    return avg_e, avg_s, conv_e & conv_s, regions
 
 
 class StaticHamiltonian:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import constants
 
+from squidring import circuit
 from squidring.circuit import (
     HBAR,
     KB,
@@ -153,14 +154,27 @@ def test_truncation_convergence_guard():
 
 
 def test_ring_hamiltonian_terms():
-    """build_hs is Hs = harmonic - nu cos(lambda_s x + 2 pi phi_x) - drive_scale rate charge,
-    with the shifted cosine taken directly, not through the cos_phi/sin_phi expansion."""
+    """build_hs is the static Hs = harmonic - nu cos(lambda_s x + 2 pi phi_x), with
+    the shifted cosine taken directly, not through the cos_phi/sin_phi expansion."""
     g = DimensionlessGroups.from_params(CircuitParams())
     ops = fock_ring_ops(40, g.lambda_s)
-    phi, rate = 0.42864, 0.003
+    phi = 0.42864
     cos_shifted = herm_func(g.lambda_s * ops.flux + 2 * math.pi * phi * np.eye(40), np.cos)
-    expected = ops.harmonic - g.nu_tilde * cos_shifted - g.drive_scale * rate * ops.charge
-    np.testing.assert_allclose(build_hs(ops, g, phi, rate), expected, atol=1e-10)
+    expected = ops.harmonic - g.nu_tilde * cos_shifted
+    np.testing.assert_allclose(build_hs(ops, g, phi), expected, atol=1e-10)
+
+
+def test_static_pieces_are_real(model):
+    """With dPhix/dt = 0 every piece of H is real symmetric: the Fock and the
+    truncated ring operators, the ring pieces and the total H's pieces are
+    float64, and so are the static Hs and H built from them."""
+    g = model.groups
+    for ops in (fock_ring_ops(40, g.lambda_s), model.ring):
+        assert {op.dtype for op in vars(ops).values()} == {np.dtype(float)}
+        assert circuit.ring_pieces(ops, g).dtype == np.float64
+    assert circuit.drive_terms(model.ring, g, model.de).dtype == np.float64
+    assert build_total(model, 0.42864).dtype == np.float64
+    assert model.ring_hamiltonian(np.array([0.3, 0.5])).dtype == np.float64
 
 
 def test_total_hamiltonian_structure(model):
@@ -180,11 +194,19 @@ def test_total_hamiltonian_structure(model):
 
 
 def test_ramp_hamiltonian_matches_direct_build(model):
+    """H(t) is the static H at the drive's flux plus the rate times
+    -drive_scale i (a† - a), the Fock-basis charge projected onto the truncated
+    ring, within 1e-15, and it is Hermitian."""
     drive = FluxDrive(t0=10.0, tr=4.0)
     ham = RampHamiltonian(model, drive)
+    a, t_s = ladder(model.pre_dim), model.ring_transform
+    charge = np.kron(np.eye(model.de), t_s.conj().T @ (1j * (a.conj().T - a)) @ t_s)
     for t in (0.0, 5.0, 11.0, 12.7, 14.0 + 1e-9, 30.0):
-        expected = build_total(model, drive.value(t), drive.rate(t))
-        np.testing.assert_allclose(ham(t), expected, atol=1e-12)
+        h = ham(t)
+        expected = (build_total(model, drive.value(t))
+                    + drive.rate(t) * -model.groups.drive_scale * charge)
+        assert np.max(np.abs(h - expected)) <= 1e-15
+        assert is_hermitian(h, tol=1e-15)
     assert ham.static_on(0.0, 10.0)
     assert not ham.static_on(9.0, 11.0)
     assert not ham.static_on(11.0, 13.0)

@@ -26,7 +26,7 @@ from squidring.experiments import (
 )
 from squidring.observables import labeled_basis, time_averaged_energy
 
-from oracles import StaticHamiltonian, static_averages
+from oracles import StaticHamiltonian, complex_sweep, static_averages
 
 BIAS = 0.42864
 
@@ -179,6 +179,41 @@ def test_label_mode_changes_labels_not_entanglement(model):
     assert abs(rec_i["P_10"][-1] - rec_f["P_10"][-1]) > 1e-4
 
 
+@pytest.mark.parametrize("baths", [None, sq.BathParams(gamma_e=1e-3, gamma_s=1e-3)])
+@pytest.mark.parametrize("signs, tol", [(True, 1e-12), (False, 1e-11)])
+def test_ramp_records_ignore_eigenvector_phases(model, monkeypatch, signs, baths, tol):
+    """eigh fixes each eigenvector only up to a phase, a sign in real arithmetic.
+    Rephasing the truncated ring basis (its operators become D† A D, its
+    transform t D) and each eigenvector that eigh returns while the ramp runs
+    (the labels at A, at B and in the window, a new draw per call) leaves a
+    short ramp's records, lossless and damped, unchanged: within 1e-12 with
+    random signs (sign flips are exact), and within 1e-11 with random complex
+    phases, whose complex products round H differently by about 1e-16
+    (measured up to 1.3e-12 after 60 omega_s^-1)."""
+    rng = np.random.default_rng(3)
+
+    def draw(shape):
+        if signs:
+            return rng.choice([-1.0, 1.0], size=shape)
+        return np.exp(2j * np.pi * rng.random(shape))
+
+    cfg = sq.RampConfig(t0=20.0, tr=5.0, t_end=60.0)
+    want = sq.run_ramp(cfg, model, sample_dt=1.0, baths=baths).records
+    d = np.diag(draw(model.ds))
+    rephased = replace(model, ring=model.ring.transformed(d),
+                       ring_transform=model.ring_transform @ d)
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        w, v = real_eigh(a)
+        return w, v * draw(v.shape[:-2] + (1, v.shape[-1]))
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    got = sq.run_ramp(cfg, rephased, sample_dt=1.0, baths=baths).records
+    for name in observables.RECORD_COLUMNS:
+        assert np.max(np.abs(got[name] - want[name])) < tol, name
+
+
 def test_auto_t0_reaches_plateau(model):
     cfg = sq.RampConfig(t_end=400.0, auto_t0=True)
     result = sq.run_ramp(cfg, model, sample_dt=2.0)
@@ -254,7 +289,7 @@ def test_zeroin_is_scipy_brentq(problem):
 def test_sweep_is_blocked_without_per_point_models(monkeypatch):
     """The default grid is evaluated in blocks of SWEEP_BLOCK fluxes, with no
     TruncatedModel per point, and its traced peak stays below the size of one
-    unblocked (201, 40, 40) complex ring stack."""
+    unblocked (201, 40, 40) float64 ring stack."""
     def per_point_model(*args, **kwargs):
         raise AssertionError("the sweep built a per-point model")
 
@@ -267,16 +302,57 @@ def test_sweep_is_blocked_without_per_point_models(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(result.records["phi_x"]) == cfg.points == 201
-    assert peak < cfg.points * 40 * 40 * np.dtype(complex).itemsize
+    assert peak < cfg.points * 40 * 40 * np.dtype(float).itemsize
 
 
 def test_default_sweep_regions_are_pinned(full_sweep):
-    """The default sweep's refined twin regions, bit for bit as they were when
-    each refinement step still took the full static pass at its flux."""
+    """The default sweep's refined twin regions, bit for bit as the sweep gives
+    them in real arithmetic; test_sweep_matches_complex_arithmetic holds them
+    to the complex-arithmetic refinement."""
     assert [(r.center.hex(), r.width.hex(), r.depth.hex()) for r in full_sweep.regions] == [
-        ("0x1.b6edca90c05adp-2", "0x1.78aefac859a00p-11", "0x1.0b96ded0df84fp-1"),
-        ("0x1.24891ab79fd2bp-1", "0x1.78aefac85a400p-11", "0x1.0b96ded0df2efp-1"),
+        ("0x1.b6edca90c05c7p-2", "0x1.78aefac859200p-11", "0x1.0b96ded0df99fp-1"),
+        ("0x1.24891ab79fd2cp-1", "0x1.78aefac85a800p-11", "0x1.0b96ded0df43cp-1"),
     ]
+
+
+def test_sweep_matches_complex_arithmetic(full_sweep):
+    """The real-arithmetic default sweep against the same sweep with complex
+    static pieces, every grid flux solved directly and the regions refined on
+    the complex evaluator: both energy columns and every region's centre, width
+    and depth agree within 1e-12, and the convergence flags are equal."""
+    avg_e, avg_s, converged, regions = complex_sweep(sq.SweepConfig())
+    records = full_sweep.records
+    assert np.max(np.abs(records["avg_E_e"] - avg_e)) < 1e-12
+    assert np.max(np.abs(records["avg_E_s"] - avg_s)) < 1e-12
+    assert np.array_equal(records["converged"], converged)
+    assert len(full_sweep.regions) == len(regions) == 2
+    for got, want in zip(full_sweep.regions, regions):
+        for name in ("center", "width", "depth"):
+            assert abs(getattr(got, name) - getattr(want, name)) < 1e-12, name
+
+
+def test_static_sweep_runs_in_float64(monkeypatch):
+    """The sweep's static pieces are real, so both stacks StaticAverages hands
+    to eigh, the ring projected onto each flux's eigenstates and the amplitudes
+    are float64, on the grid path and on the refinement path."""
+    static = StaticAverages(CircuitParams(), 200.0, 0.25, 4, 4, 40)
+    assert static.pieces.dtype == static.h_e.dtype == np.float64
+    solved = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        solved.append((a.shape, a.dtype))
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    ring, w, v = static._spectrum(np.array([0.3, 0.42864, 0.5]))
+    assert {op.dtype for op in vars(ring).values()} == {np.dtype(float)}
+    assert circuit.drive_terms(ring, static.groups, 4).dtype == np.float64
+    assert w.dtype == v.dtype == static._amplitudes(v, static.h_e).dtype == np.float64
+    static.averages(np.array([0.3, 0.42864]))
+    static.field_average(0.43)
+    assert solved == [((3, 40, 40), float), ((3, 16, 16), float), ((2, 40, 40), float),
+                      ((2, 16, 16), float), ((1, 40, 40), float), ((1, 16, 16), float)]
 
 
 def test_refinement_solves_each_flux_once(monkeypatch):
