@@ -25,12 +25,11 @@ from .circuit import (
     TruncatedModel,
     _combine,
     build_he,
-    build_hs,
     build_total,
     check_types,
     drive_coefficients,
-    drive_terms,
     fock_ring_ops,
+    ladder,
     ring_pieces,
     truncate_to_eigenbasis,
 )
@@ -189,12 +188,13 @@ class StaticAverages:
     """Exact time averages at fixed bias fluxes, for one sweep's circuit and grid.
 
     Everything that does not depend on the flux is built once: the
-    dimensionless groups, the pre_dim Fock ring operators and their pieces,
-    He on the product space and the sample grid. At each flux the ring is
-    re-diagonalized, so INITIAL_LABEL is local, and the averages are
-    time_averaged_energy's trapezoid rule on the sample grid of spacing
-    ~sample_dt, summed in closed form in the eigenbasis of H. The flux is
-    static, so H has no charge term and every matrix here is real (float64).
+    dimensionless groups, the pre_dim Fock ring operators and their pieces, the
+    field coupling, the diagonal of He on the product space and the sample
+    grid. At each flux the ring is re-diagonalized, so INITIAL_LABEL is local,
+    and H is assembled in that ring eigenbasis, where Hs is diagonal. The
+    averages are time_averaged_energy's trapezoid rule on the sample grid of
+    spacing ~sample_dt, summed in closed form in the eigenbasis of H. The flux
+    is static, so H has no charge term and every matrix here is real (float64).
     A non-finite average raises IntegrationError.
     """
 
@@ -204,34 +204,39 @@ class StaticAverages:
         self.de, self.ds = de, ds
         self.ops = fock_ring_ops(pre_dim, self.groups.lambda_s)
         self.pieces = ring_pieces(self.ops, self.groups)
-        self.h_e = np.kron(build_he(de, self.groups), np.eye(ds))
+        self.coupling = -self.groups.kappa * (ladder(de) + ladder(de).T)  # -Hes = this (x) flux
+        self.h_e = np.repeat(np.diag(build_he(de, self.groups)), ds)  # He (x) I, diagonal
         self.times = np.linspace(0.0, tau, max(3, grid_intervals(tau, sample_dt) + 1))
         self._field: dict[float, float] = {}  # <<He>> per flux asked for one at a time
 
     def _spectrum(self, phi: np.ndarray) -> tuple:
-        """(the ring in its ds lowest eigenstates, eigenvalues and eigenvectors of
-        H), one per flux of phi."""
-        coefficients = drive_coefficients(phi)
-        _, v = np.linalg.eigh(_combine(coefficients, self.pieces))
-        ring = self.ops.transformed(v[..., :self.ds])
-        w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, self.groups, self.de)))
-        return ring, w, v
+        """(the diagonal of I (x) Hs, eigenvalues and eigenvectors of H), one per
+        flux of phi. In the basis V of the ds lowest ring eigenstates, from one
+        ring eigh, Hs is diag(w_s) and H = He (x) I + I (x) diag(w_s) -
+        kappa x_e (x) V^T flux V, so the flux is the one ring operator projected."""
+        w_s, v = np.linalg.eigh(_combine(drive_coefficients(phi), self.pieces))
+        h_s, v = np.tile(w_s[..., :self.ds], self.de), v[..., :self.ds]
+        flux, dim = v.mT @ self.ops.flux @ v, h_s.shape[-1]
+        h = (self.coupling[:, None, :, None] * flux[..., None, :, None, :]).reshape(-1, dim, dim)
+        h[:, range(dim), range(dim)] += self.h_e + h_s
+        w, v = np.linalg.eigh(h)
+        return h_s, w, v
 
-    def _amplitudes(self, v: np.ndarray, ops: np.ndarray) -> np.ndarray:
-        """closed_form_average's amplitudes of each of the (..., k, dim, dim)
-        operators ops in the initial state, in the eigenbasis v of H."""
+    def _amplitudes(self, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """closed_form_average's amplitudes in the initial state of each diagonal
+        operator diag(d[..., k, :]), in the eigenbasis v of H: He (x) I and
+        I (x) Hs are both diagonal in the product basis."""
         ne, ms = INITIAL_LABEL
-        c = v[..., ne * self.ds + ms, :].conj()  # the initial state |ne, ms> in the eigenbasis
+        c = v[..., ne * self.ds + ms, :]  # the initial state |ne, ms> in the eigenbasis
         v = v[..., None, :, :]
-        return c.conj()[..., None, :, None] * (v.mT.conj() @ ops @ v) * c[..., None, None, :]
+        return c[..., None, :, None] * ((v.mT * d[..., None, :]) @ v) * c[..., None, None, :]
 
     def averages(self, phi: np.ndarray) -> tuple:
         """(<<He>>, <<Hs>>, conv_e, conv_s), one array entry per flux of phi."""
-        ring, w, v = self._spectrum(phi)
-        h_s = np.kron(np.eye(self.de), build_hs(ring, self.groups, phi))
-        ops_es = np.stack([np.broadcast_to(self.h_e, h_s.shape), h_s], axis=-3)
+        h_s, w, v = self._spectrum(phi)
+        d = np.stack([np.broadcast_to(self.h_e, h_s.shape), h_s], axis=-2)
         avg, converged = closed_form_time_average(self.times, w[..., None, :],
-                                                  self._amplitudes(v, ops_es))
+                                                  self._amplitudes(v, d))
         _check_finite(phi, avg)
         return avg[:, 0], avg[:, 1], converged[:, 0], converged[:, 1]
 

@@ -57,8 +57,9 @@ def time_averaged_energy(times: np.ndarray, values: np.ndarray,
     return float(avg), bool(abs(avg - avg_half) / scale < rel_tol)
 
 
-def _trapezoid_phase_sums(theta: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j=0..n} w_j exp(-i theta j), trapezoid weights w_0 = w_n = 1/2, else 1.
+def _trapezoid_phase_sums(theta: np.ndarray, n: int, part=np.cos) -> np.ndarray:
+    """The real part (part=np.cos) or minus the imaginary part (part=np.sin) of
+    sum_{j=0..n} w_j exp(-i theta j), trapezoid weights w_0 = w_n = 1/2, else 1.
 
     The geometric sum is taken as exp(-i n theta/2) sin((n+1) theta/2) / sin(theta/2),
     which stays accurate for the near-degenerate |theta| << 1, where the form
@@ -68,7 +69,7 @@ def _trapezoid_phase_sums(theta: np.ndarray, n: int) -> np.ndarray:
     s = np.sin(half)
     dirichlet = np.divide(np.sin((n + 1) * half), s, out=np.full(theta.shape, n + 1.0),
                           where=s != 0)
-    return np.exp(-1j * n * half) * dirichlet - 0.5 * (1 + np.exp(-1j * n * theta))
+    return part(n * half) * dirichlet - 0.5 * (part(0.0) + part(n * theta))
 
 
 def closed_form_average(times: np.ndarray, energies: np.ndarray, amplitudes: np.ndarray,
@@ -77,12 +78,13 @@ def closed_form_average(times: np.ndarray, energies: np.ndarray, amplitudes: np.
     E(t) = sum_kl amplitudes[k, l] exp(-i (energies[l] - energies[k]) t) on the
     uniform grid `times`, without sampling E(t).
 
-    Each exponential's trapezoid sum is a geometric series, so the cost does not
+    Each exponential's trapezoid sum S is a geometric series, so the cost does not
     grow with the number of samples. `amplitudes` is Hermitian (E is real); the
     grid starts at t = 0 and resolves every gap: |energies[l] - energies[k]| *
-    step < 2 pi. Stacks broadcast: energies (..., n) and amplitudes (..., n, n)
-    give an array of averages, and the trapezoid sums are taken once for all
-    amplitudes that share a spectrum.
+    step < 2 pi. The sum is Re(A) Re(S) - Im(A) Im(S), so real amplitudes (the
+    static sweep's) take only the cosine part of each S. Stacks broadcast:
+    energies (..., n) and amplitudes (..., n, n) give an array of averages, and
+    the trapezoid sums are taken once for all amplitudes that share a spectrum.
     """
     times = np.asarray(times, float)
     n = times.size - 1
@@ -91,7 +93,9 @@ def closed_form_average(times: np.ndarray, energies: np.ndarray, amplitudes: np.
     m = n if m is None else m
     step = times[-1] / n
     theta = (energies[..., None, :] - energies[..., :, None]) * step
-    total = np.sum(amplitudes * _trapezoid_phase_sums(theta, m), axis=(-2, -1)).real
+    total = np.sum(amplitudes.real * _trapezoid_phase_sums(theta, m), axis=(-2, -1))
+    if np.iscomplexobj(amplitudes):
+        total += np.sum(amplitudes.imag * _trapezoid_phase_sums(theta, m, np.sin), (-2, -1))
     return total * step / times[m]
 
 

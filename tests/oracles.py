@@ -1,17 +1,26 @@
 """Reference definitions that only the tests use: the per-state observables
 that the batched records pass (`observables.record_columns`) is checked
 against, the static sweep's averages at one flux or a flux array, the sweep
-in complex arithmetic, a constant Hamiltonian in the integrators' interface,
-and an adaptive RK45 integration that the fixed-step RK4 core is checked
-against."""
+as formerly assembled, in complex arithmetic, a constant Hamiltonian in the
+integrators' interface, and an adaptive RK45 integration that the fixed-step
+RK4 core is checked against."""
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from squidring.circuit import CircuitParams, RingOperators, ring_pieces
+from squidring.circuit import (
+    CircuitParams,
+    RingOperators,
+    _combine,
+    build_he,
+    build_hs,
+    drive_coefficients,
+    drive_terms,
+    ring_pieces,
+)
 from squidring.dynamics import QuantumState
 from squidring.experiments import INITIAL_LABEL, StaticAverages, SweepConfig, _detect_regions
 from squidring.linalg import partial_trace, vn_entropy
-from squidring.observables import LabeledBasis
+from squidring.observables import LabeledBasis, closed_form_time_average
 
 
 def basis_probabilities(state: QuantumState, basis: LabeledBasis) -> np.ndarray:
@@ -68,17 +77,41 @@ def static_averages(
 
 
 class ComplexStaticAverages(StaticAverages):
-    """StaticAverages with its Fock ring operators and He cast to complex128
-    and its ring pieces built from them, so that both eigensolves, the ring
-    projection, the coupled pieces and the amplitudes run as complex Hermitian
-    problems, as the sweep ran them while its static pieces were complex."""
+    """StaticAverages as the sweep assembled H and its amplitudes before it
+    worked in each flux's ring eigenbasis, in complex arithmetic: the Fock ring
+    operators and He are cast to complex128, all four ring operators are
+    projected onto each flux's lowest ring eigenstates, H is combined from
+    drive_terms' product pieces, and the amplitudes are those of the dense
+    He (x) I and I (x) Hs, so both eigensolves and the phase sums run as
+    complex Hermitian problems."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, params, tau, sample_dt, de, ds, pre_dim):
+        super().__init__(params, tau, sample_dt, de, ds, pre_dim)
         self.ops = RingOperators(**{name: op.astype(complex)
                                     for name, op in vars(self.ops).items()})
         self.pieces = ring_pieces(self.ops, self.groups)
-        self.h_e = self.h_e.astype(complex)
+        self.h_e = np.kron(build_he(de, self.groups), np.eye(ds)).astype(complex)
+
+    def _spectrum(self, phi):
+        coefficients = drive_coefficients(phi)
+        _, v = np.linalg.eigh(_combine(coefficients, self.pieces))
+        ring = self.ops.transformed(v[..., :self.ds])
+        w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, self.groups, self.de)))
+        return ring, w, v
+
+    def _amplitudes(self, v, ops):
+        ne, ms = INITIAL_LABEL
+        c = v[..., ne * self.ds + ms, :].conj()  # the initial state |ne, ms> in the eigenbasis
+        v = v[..., None, :, :]
+        return c.conj()[..., None, :, None] * (v.mT.conj() @ ops @ v) * c[..., None, None, :]
+
+    def averages(self, phi):
+        ring, w, v = self._spectrum(phi)
+        h_s = np.kron(np.eye(self.de), build_hs(ring, self.groups, phi))
+        ops_es = np.stack([np.broadcast_to(self.h_e, h_s.shape), h_s], axis=-3)
+        avg, converged = closed_form_time_average(self.times, w[..., None, :],
+                                                  self._amplitudes(v, ops_es))
+        return avg[:, 0], avg[:, 1], converged[:, 0], converged[:, 1]
 
 
 def complex_sweep(cfg: SweepConfig) -> tuple:

@@ -316,8 +316,8 @@ def test_non_finite_sweep_average_exits_3(tmp_path, monkeypatch, capsys):
     real_spectrum = experiments.StaticAverages._spectrum
 
     def spectrum(self, phi):
-        ring, w, v = real_spectrum(self, phi)
-        return ring, np.full_like(w, np.nan), v
+        h_s, w, v = real_spectrum(self, phi)
+        return h_s, np.full_like(w, np.nan), v
 
     monkeypatch.setattr(experiments.StaticAverages, "_spectrum", spectrum)
     out = tmp_path / "nan"

@@ -479,6 +479,16 @@ def test_lindblad_trace_and_positivity_reported(model):
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
+def test_damped_ramp_emits_exactly_hermitian_states(model):
+    """_Master.settle hermitizes every stepped rho, so every emitted density
+    matrix of a short damped ramp is Hermitian to the bit; without it the
+    anti-Hermitian part of rounding builds up over the steps."""
+    baths = BathParams(gamma_e=1e-4, gamma_s=1e-4)
+    traj = run_ramp(RampConfig(t0=5.0, tr=1.0, t_end=12.0), model, baths=baths).trajectory
+    assert traj.data.ndim == 3 and len(traj.data) == 25
+    assert np.max(np.abs(traj.data - traj.data.conj().mT)) == 0
+
+
 def test_integration_error_is_runtime_error():
     assert issubclass(NormDriftError, IntegrationError)
     assert issubclass(IntegrationError, RuntimeError)

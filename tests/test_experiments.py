@@ -307,19 +307,22 @@ def test_sweep_is_blocked_without_per_point_models(monkeypatch):
 
 def test_default_sweep_regions_are_pinned(full_sweep):
     """The default sweep's refined twin regions, bit for bit as the sweep gives
-    them in real arithmetic; test_sweep_matches_complex_arithmetic holds them
-    to the complex-arithmetic refinement."""
+    them in real arithmetic in each flux's ring eigenbasis;
+    test_sweep_matches_complex_arithmetic holds them to the refinement on the
+    former complex assembly."""
     assert [(r.center.hex(), r.width.hex(), r.depth.hex()) for r in full_sweep.regions] == [
-        ("0x1.b6edca90c05c7p-2", "0x1.78aefac859200p-11", "0x1.0b96ded0df99fp-1"),
-        ("0x1.24891ab79fd2cp-1", "0x1.78aefac85a800p-11", "0x1.0b96ded0df43cp-1"),
+        ("0x1.b6edca90c05a1p-2", "0x1.78aefac858c00p-11", "0x1.0b96ded0df845p-1"),
+        ("0x1.24891ab79fd23p-1", "0x1.78aefac859400p-11", "0x1.0b96ded0df83ep-1"),
     ]
 
 
 def test_sweep_matches_complex_arithmetic(full_sweep):
-    """The real-arithmetic default sweep against the same sweep with complex
-    static pieces, every grid flux solved directly and the regions refined on
-    the complex evaluator: both energy columns and every region's centre, width
-    and depth agree within 1e-12, and the convergence flags are equal."""
+    """The default sweep, assembled in each flux's ring eigenbasis in real
+    arithmetic, against the former assembly in complex arithmetic (all four
+    ring operators projected, H from drive_terms, dense He (x) I and I (x) Hs
+    amplitudes), every grid flux solved directly and the regions refined on that
+    evaluator: both energy columns and every region's centre, width and depth
+    agree within 1e-12, and the convergence flags are equal."""
     avg_e, avg_s, converged, regions = complex_sweep(sq.SweepConfig())
     records = full_sweep.records
     assert np.max(np.abs(records["avg_E_e"] - avg_e)) < 1e-12
@@ -333,10 +336,12 @@ def test_sweep_matches_complex_arithmetic(full_sweep):
 
 def test_static_sweep_runs_in_float64(monkeypatch):
     """The sweep's static pieces are real, so both stacks StaticAverages hands
-    to eigh, the ring projected onto each flux's eigenstates and the amplitudes
-    are float64, on the grid path and on the refinement path."""
+    to eigh, the diagonal of I (x) Hs, H's spectrum and the amplitudes of the
+    diagonal He (x) I and I (x) Hs are float64, on the grid path and on the
+    refinement path; each flux takes one 40 x 40 and one 16 x 16 eigh."""
     static = StaticAverages(CircuitParams(), 200.0, 0.25, 4, 4, 40)
-    assert static.pieces.dtype == static.h_e.dtype == np.float64
+    assert (static.pieces.dtype == static.ops.flux.dtype == static.coupling.dtype
+            == static.h_e.dtype == np.float64)
     solved = []
     real_eigh = np.linalg.eigh
 
@@ -345,10 +350,11 @@ def test_static_sweep_runs_in_float64(monkeypatch):
         return real_eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    ring, w, v = static._spectrum(np.array([0.3, 0.42864, 0.5]))
-    assert {op.dtype for op in vars(ring).values()} == {np.dtype(float)}
-    assert circuit.drive_terms(ring, static.groups, 4).dtype == np.float64
-    assert w.dtype == v.dtype == static._amplitudes(v, static.h_e).dtype == np.float64
+    h_s, w, v = static._spectrum(np.array([0.3, 0.42864, 0.5]))
+    assert h_s.shape == w.shape == (3, 16) and v.shape == (3, 16, 16)
+    d = np.stack([np.broadcast_to(static.h_e, h_s.shape), h_s], axis=-2)
+    assert (h_s.dtype == w.dtype == v.dtype == static._amplitudes(v, static.h_e).dtype
+            == static._amplitudes(v, d).dtype == np.float64)
     static.averages(np.array([0.3, 0.42864]))
     static.field_average(0.43)
     assert solved == [((3, 40, 40), float), ((3, 16, 16), float), ((2, 40, 40), float),
@@ -431,9 +437,9 @@ def _poison(monkeypatch, poisoned):
     real_spectrum = StaticAverages._spectrum
 
     def spectrum(self, phi):
-        ring, w, v = real_spectrum(self, phi)
+        h_s, w, v = real_spectrum(self, phi)
         w = np.where(poisoned(phi)[:, None], np.nan, w)
-        return ring, w, v
+        return h_s, w, v
 
     monkeypatch.setattr(StaticAverages, "_spectrum", spectrum)
 

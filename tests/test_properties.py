@@ -228,9 +228,10 @@ def test_ramp_window_matches_per_step_rk4(model, equation, a, b, tr, t0_samples,
 
 
 @st.composite
-def spectra(draw):
+def spectra(draw, real=False):
     """(energies, U, observable, psi0) for H = U diag(energies) U† of dimension
-    2-6 whose spectrum is generic, exactly degenerate or nearly degenerate."""
+    2-6 whose spectrum is generic, exactly degenerate or nearly degenerate; with
+    real, U, the observable and psi0 are real, as in the static sweep."""
     d = draw(st.integers(2, 6))
     unit = st.floats(-1.0, 1.0)
     energies = 3 * draw(arrays(float, d, elements=unit))
@@ -240,21 +241,26 @@ def spectra(draw):
     elif kind == "near-degenerate":
         energies[1] = energies[0] + draw(st.floats(1e-9, 1e-3))
     re, im, o_re, o_im = (draw(arrays(float, (d, d), elements=unit)) for _ in range(4))
-    u, _ = np.linalg.qr(re + 1j * im)
     v = draw(arrays(float, 2 * d, elements=unit))
-    psi0 = v[:d] + 1j * v[d:]
+    u, obs, psi0 = re, o_re, v[:d]
+    if not real:
+        u, obs, psi0 = re + 1j * im, o_re + 1j * o_im, psi0 + 1j * v[d:]
+    u, _ = np.linalg.qr(u)
     if np.linalg.norm(psi0) < 0.1:
-        psi0 = np.eye(d)[0].astype(complex)
-    return energies, u, hermitize(o_re + 1j * o_im), psi0 / np.linalg.norm(psi0)
+        psi0 = np.eye(d)[0]
+    return energies, u, hermitize(obs), psi0 / np.linalg.norm(psi0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(spectra(), st.floats(1.0, 100.0), st.floats(0.01, 0.25))
-@pytest.mark.parametrize("parity", [0, 1])
-def test_closed_form_average_is_sampled_trapezoid(parity, spectrum, tau, sample_dt):
+@given(st.data(), st.floats(1.0, 100.0), st.floats(0.01, 0.25))
+@pytest.mark.parametrize("parity, real", [(0, False), (1, False), (0, True), (1, True)],
+                         ids=["0", "1", "0-real", "1-real"])
+def test_closed_form_average_is_sampled_trapezoid(parity, real, data, tau, sample_dt):
     """The closed-form time average and its flag equal time_averaged_energy on
-    E(t) sampled over the grid, for odd and even sample counts."""
-    energies, u, obs, psi0 = spectrum
+    E(t) sampled over the grid, for odd and even sample counts, with complex
+    Hermitian amplitudes and with the real symmetric ones of the static sweep,
+    which take only the cosine part of the phase sums."""
+    energies, u, obs, psi0 = data.draw(spectra(real))
     nt = max(3, int(round(tau / sample_dt)) + 1)
     nt += (nt - parity) % 2
     ts = np.linspace(0.0, tau, nt)
@@ -262,6 +268,7 @@ def test_closed_form_average_is_sampled_trapezoid(parity, spectrum, tau, sample_
     psi_t = u @ (np.exp(-1j * np.outer(energies, ts)) * c[:, None])
     sampled = np.sum(psi_t.conj() * (obs @ psi_t), axis=0).real
     amplitudes = c.conj()[:, None] * (u.conj().T @ obs @ u) * c
+    assert np.iscomplexobj(amplitudes) != real
 
     avg, flag = closed_form_time_average(ts, energies, amplitudes)
     want, want_flag = time_averaged_energy(ts, sampled)
@@ -299,6 +306,36 @@ def test_static_averages_twin_symmetry(cs_scale, lambda_scale, mu_es, fluxes):
         clear = np.abs(spread - 0.01) > 1e-9
         assert np.array_equal(flag[clear], (spread < 0.01)[clear])
         assert np.array_equal(flag[clear], twin_flag[clear])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.8, 1.2), st.floats(0.8, 1.2), st.floats(0.005, 0.02),
+       st.lists(st.floats(0.30, 0.70), min_size=1, max_size=8))
+def test_static_averages_assemble_build_total(cs_scale, lambda_scale, mu_es, fluxes):
+    """In the ring's eigenbasis at phi, H = He (x) I + I (x) diag(w_s) -
+    kappa x_e (x) V^T flux V. Over circuits around the defaults the H that
+    StaticAverages hands to its 16 x 16 eigh equals build_total on the model
+    truncated at phi within 1e-12; both take the same ring eigh, so the
+    eigenvector signs agree."""
+    params = CircuitParams(Cs=cs_scale * DEFAULT_CS, Lambda_s=lambda_scale * DEFAULT_LAMBDA_S,
+                           mu_es=mu_es)
+    static = StaticAverages(params, 200.0, 0.25, 4, 4, 40)
+    handed = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        if a.shape[-1] == 16:
+            handed.append(a.copy())
+        return real_eigh(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", eigh)
+        static._spectrum(np.array(fluxes))
+    (h,) = handed
+    assert h.shape == (len(fluxes), 16, 16)
+    for got, phi in zip(h, fluxes):
+        model = truncate_to_eigenbasis(params, ring_ref_flux=phi, check_convergence=False)
+        assert np.max(np.abs(got - build_total(model, phi))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
