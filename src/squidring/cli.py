@@ -32,6 +32,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _plateau_lines(plateau: dict, indent: str) -> list[str]:
+    """Plateau statistics to a fixed 1e-10, 250 times their 4e-13 rounding floor."""
+    return [f"{indent}plateau {k}: {'None' if v is None else format(v, '.10f')}"
+            for k, v in sorted(plateau.items())]
+
+
 def _csv_column(values: np.ndarray) -> tuple[list, str]:
     """A column's cells and their % conversion, which together print as _fmt does."""
     if values.dtype == bool:
@@ -80,7 +86,7 @@ def _run_ramp(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     result = run_ramp(cfg.ramp, model, cfg.integrator, sample_dt=cfg.output.sample_dt)
     _write_data(cfg, "ramp", result.records)
     lines = ["ramp run", f"  samples: {len(result.records['t'])}"]
-    lines += [f"  plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
+    lines += _plateau_lines(result.plateau, "  ")
     return cfg, lines
 
 
@@ -113,7 +119,7 @@ def _run_dissipative(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
         tag = format(gamma, "g").replace("-", "m").replace("+", "")
         _write_data(cfg, f"dissipative_gamma_{tag}", result.records)
         lines.append(f"  gamma = {gamma:g} omega_s:")
-        lines += [f"    plateau {k}: {_fmt(v)}" for k, v in sorted(result.plateau.items())]
+        lines += _plateau_lines(result.plateau, "    ")
     return cfg, lines
 
 

@@ -2,16 +2,16 @@
 
 Both integrators work in the dimensionless units of the circuit module
 (hbar = 1, time in 1/omega_s). Both equations are the linear ODE
-dy/dt = G(t) y, with y = psi or rho, and share one fixed-step RK4 integrator
-core (`_evolve`). The Hamiltonian has the interface of circuit.RampHamiltonian:
-`breakpoints`, where the core splits at drive discontinuities; `static_on(a, b)`
-on arrays of interval ends, which intervals have a frozen drive; and a call on
-an array of times, giving a stack of H. On each run of frozen intervals the
-core takes H once and applies the RK4 step map as one matrix power per knot
-(such a run must have one H throughout, as a drive frozen before and after a
-ramp window has). Across a window interval it takes K at all RK4 stage times
-from one call; a TDSE of dimension up to WINDOW_MAP_MAX_DIM turns them into
-per-step maps, and a larger TDSE or the master equation runs the stage loop.
+dy/dt = G(t) y, with y = psi or vec(rho), and share one fixed-step RK4 core
+(`_evolve`); the equation classes hold only the physics. The Hamiltonian has
+the interface of circuit.RampHamiltonian: `breakpoints`, where the core splits
+at drive discontinuities; `static_on(a, b)` on arrays of interval ends, which
+intervals have a frozen drive; and a call on an array of times, giving a stack
+of H. One builder, `_rk4_maps`, makes every RK4 step map. A run of frozen
+intervals (one H throughout) takes H once and applies its one-step map's power
+once per knot; a window interval takes K at all RK4 stage times from one call,
+and a TDSE of dimension up to WINDOW_MAP_MAX_DIM turns them into per-step maps,
+a larger TDSE or the master equation runs the stage loop.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -200,40 +200,24 @@ class _Schrodinger:
 
     def window(self, ks, h, psi):
         """n RK4 steps of size h across a window interval, K at the 2n + 1 stage
-        times in ks. Each step's map P = I + h/6 (K1 + 2 S2 + 2 S3 + S4), with
-        S2 = K2 (I + h/2 K1), S3 = K2 (I + h/2 S2) and S4 = K4 (I + h S3), is
-        built for all n steps at once: three batched products, written in place
-        into buffers that every window knot of the run reuses (fresh (n, d, d)
-        temporaries would cost as much as the stage loop they replace). Then one
-        matrix-vector product per step. Above WINDOW_MAP_MAX_DIM the stage loop
-        is cheaper, and runs instead."""
+        times in ks: `_rk4_maps` into buffers that every window knot of the run
+        reuses (fresh (n, d, d) temporaries would cost as much as the stage
+        loop), then one matrix-vector product per step. Above
+        WINDOW_MAP_MAX_DIM the stage loop is cheaper, and runs instead."""
         n, d = len(ks) // 2, len(psi)
         if d > WINDOW_MAP_MAX_DIM:
             return _rk4_stages(self.apply, ks, h, psi)
         if len(self._buffers[0]) < n:
             self._buffers = np.empty((3, n, d, d), complex)
-        k1, k2, k4 = ks[0:2 * n:2], ks[1:2 * n:2], ks[2::2]
-        s2, s3, s4 = self._buffers[:, :n]
-        for k, s, c, out in ((k2, k1, 0.5 * h, s2), (k2, s2, 0.5 * h, s3), (k4, s3, h, s4)):
-            np.matmul(k, s, out=out)  # out = K (I + c S)
-            out *= c
-            out += k
-        s2 += s3  # P = I + h/3 (S2 + S3) + h/6 (K1 + S4), in S2's buffer
-        s2 *= h / 3
-        s4 += k1
-        s4 *= h / 6
-        s2 += s4
-        s2.reshape(n, -1)[:, ::d + 1] += 1.0
-        for m in s2:
+        for m in _rk4_maps(ks[0:2 * n:2], ks[1:2 * n:2], ks[2::2], h, self._buffers[:, :n]):
             psi = m @ psi
         return psi
 
     def dense(self, k):
         return k
 
-    def step(self, m, psi):
-        """One application of a dense step map."""
-        return m @ psi
+    def settle(self, psi):
+        return psi
 
     def emit(self, psis, phases):
         """Restore, in place, the global phase the shift removed (phase factor
@@ -279,10 +263,6 @@ class _Master:
     def settle(self, rho):
         return hermitize(rho)
 
-    def step(self, m, rho):
-        """One application of a dense step map to vec(rho), then settle."""
-        return self.settle((m @ rho.reshape(-1)).reshape(rho.shape))
-
     def emit(self, rhos, phases):
         pass
 
@@ -309,15 +289,25 @@ def _rk4_stages(apply, ks, h, y):
     return y
 
 
-def _rk4_step_matrix(g: np.ndarray, h: float) -> np.ndarray:
-    """One fixed-step RK4 update of dy/dt = g y as a linear map: the degree-4
-    Taylor polynomial of exp(h g)."""
-    m = np.eye(len(g), dtype=complex)
-    term = np.eye(len(g), dtype=complex)
-    for k in range(1, 5):
-        term = (h / k) * (term @ g)
-        m += term
-    return m
+def _rk4_maps(k1, k2, k4, h, out):
+    """The maps of n RK4 steps of size h of dy/dt = K(t) y, with K1, K2 and K4
+    the (n, D, D) stacks of K at each step's start, middle and end: P = I +
+    h/6 (K1 + 2 S2 + 2 S3 + S4), S2 = K2 (I + h/2 K1), S3 = K2 (I + h/2 S2) and
+    S4 = K4 (I + h S3), from three batched products written in place into the
+    three (n, D, D) buffers of `out`. Returns P, in out[0]. On a constant K
+    (K1 = K2 = K4) P is the degree-4 Taylor polynomial of exp(h K)."""
+    s2, s3, s4 = out
+    for k, s, c, o in ((k2, k1, 0.5 * h, s2), (k2, s2, 0.5 * h, s3), (k4, s3, h, s4)):
+        np.matmul(k, s, out=o)  # o = K (I + c S)
+        o *= c
+        o += k
+    s2 += s3  # P = I + h/3 (S2 + S3) + h/6 (K1 + S4), in S2's buffer
+    s2 *= h / 3
+    s4 += k1
+    s4 *= h / 6
+    s2 += s4
+    s2.reshape(len(s2), -1)[:, ::s2.shape[-1] + 1] += 1.0
+    return s2
 
 
 def _check(eq, times, states, samples) -> tuple[float, float]:
@@ -353,11 +343,10 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     RK4 stage times a + j h/2, the last one b itself, from one call of the
     Hamiltonian on the array of times). A pass starts wherever H is taken,
     where (n, rounded span) changes and after a knot that is not a sample. A
-    frozen pass builds its RK4 step map to the power n once and applies it once
-    per knot. A window interval is one `eq.window` call on its K stack: up to
-    WINDOW_MAP_MAX_DIM the TDSE's n per-step maps from three batched products
-    into reused buffers, then one matrix-vector product per step; otherwise the
-    RK4 stage loop. A pass over knots i + 1 .. j writes output rows
+    frozen pass takes `_rk4_maps`' one-step map of the dense generator (n = 1,
+    K1 = K2 = K4) to the power n once, and applies it to the flattened state,
+    then `eq.settle`, once per knot. A window interval is one `eq.window` call
+    on its K stack. A pass over knots i + 1 .. j writes output rows
     row(i + 1) .. row(j), row(k) being the number of samples before knot k, so
     a knot that is not a sample (the last of its pass) lands in the next
     sample's row, which the next pass overwrites.
@@ -411,10 +400,13 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         rows = out[row[i + 1]:row[j] + 1]
         with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
             if frozen[i]:
-                step = _rk4_step_matrix(eq.dense(-1j * h_mid + k_const), h)
+                # 3 buffers, g freed: a (3, 1, 256, 256) block cost dissipative 3 MiB RSS
+                g = eq.dense(-1j * h_mid + k_const)[None]
+                step = _rk4_maps(g, g, g, h, [np.empty_like(g) for _ in range(3)])[0]
+                del g
                 step_map = np.linalg.matrix_power(step, n)
                 for k in range(j - i):
-                    y = rows[k] = eq.step(step_map, y)
+                    y = rows[k] = eq.settle((step_map @ y.reshape(-1)).reshape(y.shape))
             else:
                 ks = hs * -1j  # one new stack per knot; -1j * hs + k_const makes
                 ks += k_const  # two, which costs a cold run more (BENCH_16.json)

@@ -2,8 +2,9 @@
 that the batched records pass (`observables.record_columns`) is checked
 against, the static sweep's averages at one flux or a flux array, the sweep
 as formerly assembled, in complex arithmetic, a constant Hamiltonian in the
-integrators' interface, and an adaptive RK45 integration that the fixed-step
-RK4 core is checked against."""
+integrators' interface, the RK4 step map on a constant generator as a Taylor
+polynomial, and an adaptive RK45 integration that the fixed-step RK4 core is
+checked against."""
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -143,6 +144,17 @@ class StaticHamiltonian:
 
     def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full(np.shape(a), self.frozen)
+
+
+def rk4_taylor_map(g: np.ndarray, h: float) -> np.ndarray:
+    """One fixed-step RK4 update of dy/dt = g y as a linear map: the degree-4
+    Taylor polynomial of exp(h g), RK4's stability function."""
+    m = np.eye(len(g), dtype=complex)
+    term = np.eye(len(g), dtype=complex)
+    for k in range(1, 5):
+        term = (h / k) * (term @ g)
+        m += term
+    return m
 
 
 def ivp_evolution(hamiltonian, y, t_start: float, t_end: float, cops=(),

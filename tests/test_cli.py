@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -153,6 +154,10 @@ def test_ramp_run_outputs(tmp_path, capsys):
     summary = (out / "summary.txt").read_text()
     assert "plateau" in summary
     assert "plateau" in capsys.readouterr().out
+    # the plateau statistics print at a fixed 1e-10, above the rounding floor
+    plateau = [line for line in summary.splitlines() if "plateau" in line]
+    assert len(plateau) == 11
+    assert all(re.fullmatch(r"  plateau \w+: -?\d+\.\d{10}", line) for line in plateau)
 
 
 def test_default_ramp_matches_the_benchmark_reference(tmp_path):
@@ -257,6 +262,9 @@ def test_dissipative_file_per_rate(tmp_path):
     assert (out / "dissipative_gamma_0.0001.csv").exists()
     summary = (out / "summary.txt").read_text()
     assert "gamma = 1e-05" in summary and "gamma = 0.0001" in summary
+    plateau = [line for line in summary.splitlines() if "plateau" in line]
+    assert len(plateau) == 24
+    assert all(re.fullmatch(r"    plateau \w+: (-?\d+\.\d{10}|None)", line) for line in plateau)
 
 
 def test_auto_t0_beyond_t_end_exits_2(tmp_path, capsys):

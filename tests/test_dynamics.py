@@ -248,6 +248,27 @@ def test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold():
         evolve_tdse(state, h, 2000.0, config=IntegratorConfig(dt=1.0), sample_dt=1.0)
 
 
+def test_slow_trace_drift_aborts_at_the_first_knot_beyond_the_threshold():
+    """H = diag(0, -i eps), not Hermitian, drains the upper level: RK4 scales
+    rho_11 by R(-2 eps) per step (one step per knot), so the trace of
+    rho0 = diag(1/2, 1/2) drifts by (1 - R^k)/2 and crosses 1e-6 well inside a
+    2,000-knot stretch, about 3e-6 at its end. The abort names the first knot
+    past 1e-6."""
+    z = -2 * 1.5e-9
+    gain = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    drift = 0.5 * (1.0 - gain ** np.arange(1, 2001))
+    first = int(np.argmax(drift > 1e-6)) + 1
+    assert 100 < first < 1000
+    assert drift[first - 1] - 1e-6 > 1e-11 and 1e-6 - drift[first - 2] > 1e-11
+    h = StaticHamiltonian(np.diag([0.0, -1.5e-9j]))
+    rho0 = QuantumState.mixed(np.diag([0.5, 0.5]), (1, 2))
+    baths = BathParams(omega_b=OMEGA_S)
+    a = ladder(2)
+    with pytest.raises(NormDriftError, match=rf"^Lindblad trace drift \S+ at t = {first}\.000$"):
+        evolve_lindblad(rho0, h, baths, (a, np.zeros_like(a)), 2000.0,
+                        config=IntegratorConfig(dt=1.0), sample_dt=1.0)
+
+
 def test_positivity_abort_names_the_first_offending_sample():
     """At omega h = 2.84, beyond RK4's stability limit 2 sqrt(2) on the imaginary
     axis, the coherence of a damped two-level rho grows by about 3 % per step
@@ -555,11 +576,13 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     """A default-length ramp calls H once per constant stretch, on one time, and
     once per ramp-window knot, on the stack of its 2n + 1 RK4 stage times; never
     once per RK4 step. It asks `static_on` once, on the arrays of all knot
-    intervals, and builds one step map per frozen pass: the stretch before t0,
-    and after t0 + tr the short interval to the next sample and the rest."""
+    intervals, and builds one step map per frozen pass (one n = 1 call of
+    `_rk4_maps` on a constant K): the stretch before t0, and after t0 + tr the
+    short interval to the next sample and the rest. Each window knot builds its
+    maps in one more call."""
     calls, static_calls, step_maps = [], [], []
     real_call, real_static_on = RampHamiltonian.__call__, RampHamiltonian.static_on
-    real_step_matrix = dynamics._rk4_step_matrix
+    real_maps = dynamics._rk4_maps
 
     def counted(self, t):
         calls.append(np.shape(t))
@@ -569,13 +592,13 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
         static_calls.append((np.shape(a), np.shape(b)))
         return real_static_on(self, a, b)
 
-    def counted_step_matrix(g, h):
-        step_maps.append(h)
-        return real_step_matrix(g, h)
+    def counted_maps(k1, k2, k4, h, out):
+        step_maps.append((len(k1), k1 is k2 is k4))
+        return real_maps(k1, k2, k4, h, out)
 
     monkeypatch.setattr(RampHamiltonian, "__call__", counted)
     monkeypatch.setattr(RampHamiltonian, "static_on", counted_static_on)
-    monkeypatch.setattr(dynamics, "_rk4_step_matrix", counted_step_matrix)
+    monkeypatch.setattr(dynamics, "_rk4_maps", counted_maps)
     drive, t_end, dt = FluxDrive(), 3 * FluxDrive.t0, IntegratorConfig.dt
     ham = RampHamiltonian(model, drive)
     psi0 = np.zeros(model.dim, complex)
@@ -584,9 +607,11 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
 
     knots, _ = _knots(0.0, t_end, SAMPLE_DT, drive.breakpoints)
     assert static_calls == [((len(knots) - 1,), (len(knots) - 1,))]
-    assert len(step_maps) == 3
+    frozen_maps = [n for n, constant in step_maps if constant]
+    assert frozen_maps == [1, 1, 1]
     window = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if not ham.static_on(a, b)]
     assert len(window) == 34
+    assert len(step_maps) == 3 + len(window)
     assert calls.count(()) == 2  # the stretches before t0 and after t0 + tr
     assert [shape for shape in calls if shape] == [
         (2 * max(1, math.ceil((b - a) / dt)) + 1,) for a, b in window]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+from squidring import dynamics
 from squidring.circuit import (
     DEFAULT_CS,
     DEFAULT_LAMBDA_S,
@@ -54,6 +55,7 @@ from oracles import (
     basis_probabilities,
     bell_fidelity,
     entanglement_indices,
+    rk4_taylor_map,
     static_averages,
 )
 
@@ -115,6 +117,19 @@ def test_static_tdse_is_matrix_exponential(system):
                        T_END, sample_dt=0.5)
     for t, psi in zip(traj.times, traj.data):
         assert np.max(np.abs(psi - expm(-1j * h * t) @ psi0)) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 0.05), st.integers(0, 2**32 - 1))
+def test_rk4_maps_on_a_constant_generator_are_the_taylor_polynomial(d, h, seed):
+    """On K1 = K2 = K4 = K, the one map the builder makes (every frozen pass's
+    step map) is the degree-4 Taylor polynomial of exp(h K) within 1e-13
+    relative, for random complex K with |h K| up to about 3."""
+    k = 3 * np.random.default_rng(seed).normal(size=(1, d, d, 2)) @ [1, 1j]
+    got = dynamics._rk4_maps(k, k, k, h, np.empty((3, 1, d, d), complex))
+    want = rk4_taylor_map(k[0], h)
+    assert got.shape == (1, d, d)
+    assert np.linalg.norm(got[0] - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _scalar_schedule(drive, t):

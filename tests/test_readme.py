@@ -1,8 +1,10 @@
 """The README against the package source: it names every name the package
 exports, and every backticked `module.name` in it (`sq.` for the package)
-names something the module defines. Read with ast, without importing."""
+names something the module defines; and every module-level definition of the
+package is named somewhere beyond itself. Read with ast, without importing."""
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +64,51 @@ def test_readme_module_names_resolve():
     unresolved = [f"{module}.{name}" for module, name in refs
                   if not _resolves("__init__" if module == "sq" else module, name.split("."))]
     assert not unresolved, f"README.md names what the package does not define: {unresolved}"
+
+
+def _docstrings(tree) -> set[int]:
+    """The ids of the docstring nodes in a tree."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _named(tree, skip: set[int] = frozenset()) -> Counter:
+    """How often a tree names each identifier: as a name it reads, an attribute,
+    an import, or a word of a string that is not a docstring (a monkeypatch or
+    tracer target)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_every_definition_is_named_beyond_itself():
+    """Each module-level function, class and constant of the package is named
+    outside its own definition: in src/, tests/, perfbench/ or the README."""
+    trees = [ast.parse(path.read_text()) for folder in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    named = sum((_named(tree, _docstrings(tree)) for tree in trees),
+                Counter(re.findall(r"[A-Za-z_]\w*", README)))
+    unnamed = []
+    for module in sorted(p.stem for p in PACKAGE.glob("*.py")):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined, own = [node.name], _named(node, _docstrings(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined, own = [t.id for t in targets if isinstance(t, ast.Name)], Counter()
+            else:
+                continue
+            unnamed += [f"{module}.{name}" for name in defined if named[name] <= own[name]]
+    assert not unnamed, f"defined but never named beyond the definition: {unnamed}"

@@ -1,0 +1,75 @@
+"""Seeded defects in the integrator core: each row breaks the program in-process,
+with monkeypatch (no file is edited), and names the tests that must fail under
+that defect. A check that still passes with the defect in place cannot catch
+it, and so does not test what it claims to. A Hypothesis property runs its
+body on one example here, without the search and shrinking of a failing run."""
+import inspect
+
+import pytest
+
+import test_dynamics
+import test_properties
+from squidring import dynamics
+
+
+def _wrong_stage_weight(monkeypatch):
+    """Every RK4 map gets h/6 S3 more: S3 weighted 3 instead of 2."""
+    real = dynamics._rk4_maps
+
+    def maps(k1, k2, k4, h, out):
+        p = real(k1, k2, k4, h, out)
+        p += (h / 6) * out[1]  # the builder leaves S3 in out[1]
+        return p
+
+    monkeypatch.setattr(dynamics, "_rk4_maps", maps)
+
+
+def _no_settle(monkeypatch):
+    """The master equation's frozen and window passes return rho as stepped."""
+    monkeypatch.setattr(dynamics._Master, "settle", lambda self, rho: rho)
+
+
+def _loosened(name, *equations):
+    """The abort threshold `name` 1000 times looser. The equation classes bind
+    their drift threshold when they are defined, so an edit of the constant
+    reaches them there too."""
+    def apply(monkeypatch):
+        value = 1000 * getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, value)
+        for eq in equations:
+            monkeypatch.setattr(eq, "abort", value)
+    return apply
+
+
+DEFECTS = {
+    "rk4 map stage weight": (_wrong_stage_weight, [
+        (test_properties.test_rk4_maps_on_a_constant_generator_are_the_taylor_polynomial
+         .hypothesis.inner_test, {"d": 16, "h": 0.005, "seed": 0}),
+        (test_dynamics.test_tdse_window_maps_equal_staged_rk4, {"n": 7, "d": 16}),
+    ]),
+    "master settle skipped": (_no_settle, [
+        (test_dynamics.test_damped_ramp_emits_exactly_hermitian_states, {}),
+    ]),
+    "NORM_ABORT x1000": (_loosened("NORM_ABORT", dynamics._Schrodinger), [
+        (test_dynamics.test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold, {}),
+    ]),
+    "TRACE_ABORT x1000": (_loosened("TRACE_ABORT", dynamics._Master), [
+        (test_dynamics.test_slow_trace_drift_aborts_at_the_first_knot_beyond_the_threshold, {}),
+    ]),
+    "POSITIVITY_ABORT x1000": (_loosened("POSITIVITY_ABORT"), [
+        (test_dynamics.test_positivity_abort_names_the_first_offending_sample, {}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("defect, checks", DEFECTS.values(), ids=DEFECTS.keys())
+def test_seeded_defect_fails_its_checks(defect, checks, model, monkeypatch):
+    defect(monkeypatch)
+    for check, kwargs in checks:
+        if "model" in inspect.signature(check).parameters:
+            kwargs = {**kwargs, "model": model}
+        try:
+            check(**kwargs)
+        except (AssertionError, pytest.fail.Exception):
+            continue
+        pytest.fail(f"{check.__name__} passes under this defect")
