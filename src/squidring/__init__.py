@@ -3,6 +3,11 @@
 Units everywhere: hbar = 1, time in 1/omega_s, energy in hbar*omega_s,
 flux in Phi0. See README for the protocol and the CLI.
 """
+import os
+
+# 16- to 256-wide matrices leave a second BLAS thread only spinning; set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .circuit import (
     CircuitParams,
     FluxDrive,

@@ -189,7 +189,7 @@ class _Schrodinger:
     """dpsi/dt = K psi on the state vector, K = -i (H - shift). `drift`,
     `lowest_eigenvalue` and `emit` act on a stack of states."""
 
-    drift_name, abort = "TDSE norm", NORM_ABORT
+    drift_name, abort = "TDSE norm", property(lambda self: NORM_ABORT)  # not a copy
 
     def __init__(self, dim: int):
         self.k_fix = np.zeros((dim, dim), complex)
@@ -237,7 +237,7 @@ class _Master:
     vec(rho); the shift cancels from it exactly. `drift`, `lowest_eigenvalue`
     and `emit` act on a stack of density matrices."""
 
-    drift_name, abort = "Lindblad trace", TRACE_ABORT
+    drift_name, abort = "Lindblad trace", property(lambda self: TRACE_ABORT)  # not a copy
 
     def __init__(self, cops, dim: int):
         self.c = np.asarray(cops, dtype=complex).reshape(-1, dim, dim)

@@ -476,6 +476,24 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and two usable CPUs")
+def test_one_blas_thread_by_default(tmp_path, monkeypatch):
+    """Importing squidring sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+    OpenBLAS starts no worker thread; a value set beforehand is kept."""
+    code = ("import os, squidring.cli, numpy as np\n"
+            "np.linalg.eigh(np.random.default_rng(0).normal(size=(40, 40)))\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # _python copies os.environ
+    for env, want in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        done = _python("-c", code, cwd=tmp_path, env=env)
+        assert done.returncode == 0, done.stderr
+        value, threads = done.stdout.split()
+        # the thread count: the main one, plus the worker a second BLAS thread brings
+        assert (value, int(threads)) == (want, int(want))
+
+
 NO_SCIPY_RUNS = [
     ["validate"],
     ["ramp"] + SHORT_RAMP,

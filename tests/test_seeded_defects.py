@@ -1,15 +1,15 @@
-"""Seeded defects in the integrator core: each row breaks the program in-process,
-with monkeypatch (no file is edited), and names the tests that must fail under
-that defect. A check that still passes with the defect in place cannot catch
-it, and so does not test what it claims to. A Hypothesis property runs its
-body on one example here, without the search and shrinking of a failing run."""
+"""Seeded defects: each row breaks the program in-process, with monkeypatch
+(no file is edited), and names the tests that must fail under that defect. A
+check that still passes with the defect in place cannot catch it, and so does
+not test what it claims to. A Hypothesis property runs its body on one example
+here, without the search and shrinking of a failing run."""
 import inspect
 
 import pytest
 
 import test_dynamics
 import test_properties
-from squidring import dynamics
+from squidring import circuit, dynamics, linalg
 
 
 def _wrong_stage_weight(monkeypatch):
@@ -29,16 +29,20 @@ def _no_settle(monkeypatch):
     monkeypatch.setattr(dynamics._Master, "settle", lambda self, rho: rho)
 
 
-def _loosened(name, *equations):
-    """The abort threshold `name` 1000 times looser. The equation classes bind
-    their drift threshold when they are defined, so an edit of the constant
-    reaches them there too."""
+def _loosened(module, name):
+    """The threshold `module.name` 1000 times looser."""
     def apply(monkeypatch):
-        value = 1000 * getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name, value)
-        for eq in equations:
-            monkeypatch.setattr(eq, "abort", value)
+        monkeypatch.setattr(module, name, 1000 * getattr(module, name))
     return apply
+
+
+def _loose_convergence_tol(monkeypatch):
+    """`truncate_to_eigenbasis` accepts a ring 1000 times less converged."""
+    f = circuit.truncate_to_eigenbasis
+    defaults = dict(zip(list(inspect.signature(f).parameters)[-len(f.__defaults__):],
+                        f.__defaults__))
+    defaults["convergence_tol"] *= 1000
+    monkeypatch.setattr(f, "__defaults__", tuple(defaults.values()))
 
 
 DEFECTS = {
@@ -50,14 +54,20 @@ DEFECTS = {
     "master settle skipped": (_no_settle, [
         (test_dynamics.test_damped_ramp_emits_exactly_hermitian_states, {}),
     ]),
-    "NORM_ABORT x1000": (_loosened("NORM_ABORT", dynamics._Schrodinger), [
+    "NORM_ABORT x1000": (_loosened(dynamics, "NORM_ABORT"), [
         (test_dynamics.test_slow_norm_drift_aborts_at_the_first_knot_beyond_the_threshold, {}),
     ]),
-    "TRACE_ABORT x1000": (_loosened("TRACE_ABORT", dynamics._Master), [
+    "TRACE_ABORT x1000": (_loosened(dynamics, "TRACE_ABORT"), [
         (test_dynamics.test_slow_trace_drift_aborts_at_the_first_knot_beyond_the_threshold, {}),
     ]),
-    "POSITIVITY_ABORT x1000": (_loosened("POSITIVITY_ABORT"), [
+    "POSITIVITY_ABORT x1000": (_loosened(dynamics, "POSITIVITY_ABORT"), [
         (test_dynamics.test_positivity_abort_names_the_first_offending_sample, {}),
+    ]),
+    "EIG_CLIP x1000": (_loosened(linalg, "EIG_CLIP"), [
+        (test_properties.test_record_columns_reject_a_negative_density_matrix, {}),
+    ]),
+    "convergence_tol x1000": (_loose_convergence_tol, [
+        (test_properties.test_small_fock_basis_fails_the_convergence_check, {}),
     ]),
 }
 
