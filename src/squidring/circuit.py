@@ -267,12 +267,9 @@ def fock_ring_ops(pre_dim: int, lambda_s: float) -> RingOperators:
     """
     a = ladder(pre_dim)
     x = a + a.conj().T
-    ops = RingOperators(
-        harmonic=(a.conj().T @ a + 0.5 * np.eye(pre_dim)),
-        cos_phi=herm_func(lambda_s * x, np.cos),
-        sin_phi=herm_func(lambda_s * x, np.sin),
-        flux=x,
-    )
+    cos_phi, sin_phi = herm_func(lambda_s * x, lambda w: np.stack([np.cos(w), np.sin(w)]))
+    ops = RingOperators(harmonic=(a.conj().T @ a + 0.5 * np.eye(pre_dim)),
+                        cos_phi=cos_phi, sin_phi=sin_phi, flux=x)
     for op in vars(ops).values():
         op.flags.writeable = False
     return ops
@@ -433,30 +430,33 @@ def build_total(model: TruncatedModel, phi_x: float) -> np.ndarray:
 class RampHamiltonian:
     """H(t) along a FluxDrive schedule, in the integrators' Hamiltonian
     interface: `breakpoints`, where the drive rate jumps; `static_on(a, b)`,
-    whether the drive is frozen on each of arrays of intervals [a, b]; and a
-    call on an array of times, giving one H per time (one H for one time).
-
-    H(t) is build_total at the drive's flux plus the rate times the one complex
-    piece, the charge term -drive_scale i (a_s† - a_s); all pieces are precomputed."""
+    whether the drive is frozen on each of arrays of intervals [a, b]; and
+    H(t) = sum_k c_k(t) P_k as the (4, dim, dim) `pieces` and the real
+    `coefficients(t)`: build_total's three pieces, weighted by
+    drive_coefficients at the drive's flux, and the charge term -drive_scale
+    i (a_s† - a_s), weighted by the rate. The integrators need only these; the
+    call, H itself, stays for the checks on H (validate and the tests)."""
 
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.drive = drive
         a_s = model.collapse_operators()[1]  # the ring's bare ladder operator
         charge_piece = -model.groups.drive_scale * 1j * (a_s.conj().T - a_s)
-        self._pieces = np.concatenate([drive_terms(model.ring, model.groups, model.de),
-                                       [charge_piece]])
+        self.pieces = np.concatenate([drive_terms(model.ring, model.groups, model.de),
+                                      [charge_piece]])
 
     @property
     def breakpoints(self) -> tuple[float, float]:
         return self.drive.breakpoints
 
+    def coefficients(self, t: float | np.ndarray) -> np.ndarray:
+        """The pieces' weights at time t, along a last axis; one row per time."""
+        rate = self.drive.rate(t)[..., None]
+        return np.concatenate([drive_coefficients(self.drive.value(t)), rate], -1)
+
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         """H at time t; an array of times gives a stack, one H per time."""
-        rate = self.drive.rate(t)[..., None]
-        coefficients = np.concatenate([drive_coefficients(self.drive.value(t)), rate], -1)
-        return _combine(coefficients, self._pieces)
+        return _combine(self.coefficients(t), self.pieces)
 
     def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t0, t1 = self.drive.breakpoints
         return (b <= t0) | (a >= t1)
-

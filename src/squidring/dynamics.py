@@ -6,12 +6,13 @@ dy/dt = G(t) y, with y = psi or vec(rho), and share one fixed-step RK4 core
 (`_evolve`); the equation classes hold only the physics. The Hamiltonian has
 the interface of circuit.RampHamiltonian: `breakpoints`, where the core splits
 at drive discontinuities; `static_on(a, b)` on arrays of interval ends, which
-intervals have a frozen drive; and a call on an array of times, giving a stack
-of H. One builder, `_rk4_maps`, makes every RK4 step map. A run of frozen
-intervals (one H throughout) takes H once and applies its one-step map's power
-once per knot; a window interval takes K at all RK4 stage times from one call,
-and a TDSE of dimension up to WINDOW_MAP_MAX_DIM turns them into per-step maps,
-a larger TDSE or the master equation runs the stage loop.
+intervals have a frozen drive; and H(t) = sum_k c_k(t) P_k as `pieces` and
+`coefficients(t)`. `_k_stacks` builds K from these, `_rk4_maps` every RK4 step
+map. A run of frozen intervals takes K once and applies its one-step map's
+power once per knot; a run of window knots takes the coefficients at all their
+RK4 stage times from one call, and a TDSE of dimension up to WINDOW_MAP_MAX_DIM
+turns each knot's K into per-step maps, a larger TDSE or the master equation
+runs the stage loop.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -198,18 +199,18 @@ class _Schrodinger:
     def apply(self, k, psi):
         return k @ psi
 
-    def window(self, ks, h, psi):
-        """n RK4 steps of size h across a window interval, K at the 2n + 1 stage
-        times in ks: `_rk4_maps` into buffers that every window knot of the run
-        reuses (fresh (n, d, d) temporaries would cost as much as the stage
-        loop), then one matrix-vector product per step. Above
-        WINDOW_MAP_MAX_DIM the stage loop is cheaper, and runs instead."""
-        n, d = len(ks) // 2, len(psi)
+    def window(self, k1, k2, k4, h, psi):
+        """n RK4 steps of size h across a window interval, from K1, K2 and K4 as
+        for `_rk4_maps`, into buffers that every window knot reuses (fresh
+        temporaries would cost as much as the stage loop), then one
+        matrix-vector product per step. Above WINDOW_MAP_MAX_DIM the stage loop
+        is cheaper, and runs instead."""
+        n, d = len(k1), len(psi)
         if d > WINDOW_MAP_MAX_DIM:
-            return _rk4_stages(self.apply, ks, h, psi)
+            return _rk4_stages(self.apply, k1, k2, k4, h, psi)
         if len(self._buffers[0]) < n:
             self._buffers = np.empty((3, n, d, d), complex)
-        for m in _rk4_maps(ks[0:2 * n:2], ks[1:2 * n:2], ks[2::2], h, self._buffers[:, :n]):
+        for m in _rk4_maps(k1, k2, k4, h, self._buffers[:, :n]):
             psi = m @ psi
         return psi
 
@@ -247,11 +248,11 @@ class _Master:
     def apply(self, k, rho):
         return k @ rho + rho @ k.conj().T + (self.c @ rho @ self.c_dag).sum(axis=0)
 
-    def window(self, ks, h, rho):
-        """n RK4 steps of size h across a window interval, K at the 2n + 1 stage
-        times in ks, then settle: the stage loop, since the dense step map
-        would be d^2 x d^2 per step."""
-        return self.settle(_rk4_stages(self.apply, ks, h, rho))
+    def window(self, k1, k2, k4, h, rho):
+        """n RK4 steps of size h across a window interval, K1, K2 and K4 as for
+        `_Schrodinger.window`, then settle: the stage loop, since the dense
+        step map would be d^2 x d^2 per step."""
+        return self.settle(_rk4_stages(self.apply, k1, k2, k4, h, rho))
 
     def dense(self, k):
         eye = np.eye(len(k))
@@ -277,14 +278,14 @@ class _Master:
         return w_min
 
 
-def _rk4_stages(apply, ks, h, y):
-    """n RK4 steps of size h of dy/dt = apply(K(t), y), K at the 2n + 1 stage
-    times in ks (a, a + h/2, a + h, ...): one Python-level stage loop."""
-    for s in range(0, len(ks) - 1, 2):
-        s1 = apply(ks[s], y)
-        s2 = apply(ks[s + 1], y + 0.5 * h * s1)
-        s3 = apply(ks[s + 1], y + 0.5 * h * s2)
-        s4 = apply(ks[s + 2], y + h * s3)
+def _rk4_stages(apply, k1, k2, k4, h, y):
+    """n RK4 steps of size h of dy/dt = apply(K(t), y), with K1, K2 and K4 as
+    for `_rk4_maps`: one Python-level stage loop."""
+    for start, mid, end in zip(k1, k2, k4):
+        s1 = apply(start, y)
+        s2 = apply(mid, y + 0.5 * h * s1)
+        s3 = apply(mid, y + 0.5 * h * s2)
+        s4 = apply(end, y + h * s3)
         y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
     return y
 
@@ -331,26 +332,50 @@ def _check(eq, times, states, samples) -> tuple[float, float]:
     return float(drift.max(initial=0.0)), float(w_min.min(initial=1.0))
 
 
+def _k_stacks(hamiltonian, k_fix, a, b, n):
+    """K = -i (H(t) - shift) + k_fix at the RK4 stage times of n steps across
+    each interval [a[k], b[k]]: the n + 1 step starts a + j h, the last one b
+    itself (a + n h may round past b = t0 + tr, where the rate is 0), then the
+    n midpoints. H(t) = sum_k c_k(t) P_k, with one coefficients call for all
+    intervals, then one real product per interval (-i P and k_fix + i shift,
+    coefficient 1, viewed as floats) into one reused buffer; shift is H's
+    mean diagonal at a + n h / 2. Yields (shift, K); the next overwrites K."""
+    order = np.concatenate([np.arange(0, 2 * n + 1, 2), np.arange(1, 2 * n, 2)])
+    times = a[:, None] + order * (0.5 * ((b - a) / n))[:, None]
+    times[:, n] = b
+    pieces = hamiltonian.pieces
+    p, d = len(pieces), pieces.shape[-1]
+    c = np.ones(times.shape + (p + 1,))
+    c[..., :p] = hamiltonian.coefficients(times)
+    shifts = c[:, (order == n).argmax(), :p] @ np.trace(pieces, axis1=1, axis2=2).real / d
+    q = np.concatenate([-1j * pieces, k_fix[None]])
+    ks = np.empty((2 * n + 1, d, d), complex)
+    for row, shift in zip(c, shifts.tolist()):
+        q[p] = k_fix + 1j * shift * np.eye(d)
+        np.matmul(row, q.reshape(p + 1, -1).view(float), out=ks.reshape(2 * n + 1, -1).view(float))
+        yield shift, ks
+
+
 def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     """Integrate dy/dt = G(t) y from t_start, with G built by `eq` from
     K(t) = -i (H(t) - shift) + eq.k_fix; y is the initial psi or rho.
 
     Knots are the sample grid plus the drive breakpoints; the integrator never
     steps across a knot. The passes are planned before the loop, from one
-    `static_on` call on all knot intervals. H is taken at the first interval of
-    each run of frozen intervals (a constant-H stretch; H at that interval's
-    midpoint) and at every other interval (a window interval: K at its 2n + 1
-    RK4 stage times a + j h/2, the last one b itself, from one call of the
-    Hamiltonian on the array of times). A pass starts wherever H is taken,
-    where (n, rounded span) changes and after a knot that is not a sample. A
-    frozen pass takes `_rk4_maps`' one-step map of the dense generator (n = 1,
-    K1 = K2 = K4) to the power n once, and applies it to the flattened state,
-    then `eq.settle`, once per knot. A window interval is one `eq.window` call
-    on its K stack. A pass over knots i + 1 .. j writes output rows
+    `static_on` call on all knot intervals. A pass covers a run of frozen
+    intervals (a constant-H stretch) or of window intervals, and a new one
+    starts where (n, rounded span) changes and after a knot that is not a
+    sample. K comes from `_k_stacks`: at the first interval's midpoint of a
+    frozen stretch, for all its passes, and at every RK4 stage of a window
+    pass, from one coefficients call per pass. A frozen pass takes
+    `_rk4_maps`' one-step map of the dense generator (n = 1, K1 = K2 = K4) to
+    the power n once, and applies it to the flattened state, then
+    `eq.settle`, once per knot. A window knot is one `eq.window` call on its
+    K1, K2 and K4 stacks. A pass over knots i + 1 .. j writes output rows
     row(i + 1) .. row(j), row(k) being the number of samples before knot k, so
     a knot that is not a sample (the last of its pass) lands in the next
     sample's row, which the next pass overwrites.
-    H is shifted by its mean diagonal at the stretch's or interval's midpoint
+    H is shifted by its mean diagonal at the stretch's or knot's midpoint
     (`shift`; the TDSE phase it removes is restored on output). `_check` runs
     on the initial state and once per pass: drift and finiteness at every
     knot, the lowest eigenvalue at every sample; the first failure raises.
@@ -362,8 +387,6 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         raise ValueError(f"sample_dt must be a positive finite number, got {sample_dt!r}")
     cfg = config or IntegratorConfig()
     knots, is_sample = _knots(t_start, t_end, sample_dt, hamiltonian.breakpoints)
-    dim = y.shape[0]
-    eye = np.eye(dim)
 
     spans = np.diff(knots)
     steps = np.maximum(1, np.ceil(spans / cfg.dt))
@@ -372,45 +395,37 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     steps = steps.astype(int)
     rounded = np.round(spans, 12)
     frozen = hamiltonian.static_on(knots[:-1], knots[1:])
-    fresh = ~frozen | ~np.concatenate(([False], frozen[:-1]))  # H is taken here
-    starts = fresh | np.concatenate(
-        ([True], (np.diff(steps) != 0) | (np.diff(rounded) != 0) | ~is_sample[1:-1]))
+    starts = np.ones(len(spans), bool)
+    starts[1:] = ((frozen[1:] != frozen[:-1]) | (np.diff(steps) != 0) | (np.diff(rounded) != 0)
+                  | ~is_sample[1:-1])
     bounds = np.flatnonzero(starts).tolist() + [len(spans)]
     row = np.cumsum(is_sample) - is_sample
-    times = knots.tolist()
 
     out = np.empty((np.count_nonzero(is_sample),) + y.shape, dtype=complex)
     out[0] = y
     max_drift, min_eig = _check(eq, knots[:1], out[:1], is_sample[:1])
     phase = 0.0
     for i, j in zip(bounds[:-1], bounds[1:]):  # this pass advances knots i + 1 .. j
-        a, b, n = times[i], times[i + 1], steps[i]
-        h = (b - a) / n
-        if fresh[i]:
-            if not frozen[i]:
-                stages = a + np.arange(2 * n + 1) * (0.5 * h)
-                stages[-1] = b  # a + n h may round past b = t0 + tr, where the rate is 0
-                hs = hamiltonian(stages)
-                h_mid = hs[n]
-            else:
-                # midpoint evaluation: drive rate is discontinuous exactly at breakpoints
-                h_mid = hamiltonian(0.5 * (a + b))
-            shift = np.trace(h_mid).real / dim
-            k_const = eq.k_fix + 1j * shift * eye
+        n = steps[i]
         rows = out[row[i + 1]:row[j] + 1]
         with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
-            if frozen[i]:
+            if not frozen[i]:
+                shift = np.empty(j - i)
+                ks_pass = _k_stacks(hamiltonian, eq.k_fix, knots[i:j], knots[i + 1:j + 1], n)
+                for k, (shift_k, ks) in enumerate(ks_pass):
+                    shift[k] = shift_k
+                    y = rows[k] = eq.window(ks[:n], ks[n + 1:], ks[1:n + 1], spans[i + k] / n, y)
+            else:
+                if i == 0 or not frozen[i - 1]:  # K at the midpoint: the rate jumps at ends
+                    ((shift, k_mid),) = _k_stacks(hamiltonian, eq.k_fix, knots[i:i + 1],
+                                                  knots[i + 1:i + 2], 1)
                 # 3 buffers, g freed: a (3, 1, 256, 256) block cost dissipative 3 MiB RSS
-                g = eq.dense(-1j * h_mid + k_const)[None]
-                step = _rk4_maps(g, g, g, h, [np.empty_like(g) for _ in range(3)])[0]
+                g = eq.dense(k_mid[2])[None]
+                step = _rk4_maps(g, g, g, spans[i] / n, [np.empty_like(g) for _ in range(3)])[0]
                 del g
                 step_map = np.linalg.matrix_power(step, n)
                 for k in range(j - i):
                     y = rows[k] = eq.settle((step_map @ y.reshape(-1)).reshape(y.shape))
-            else:
-                ks = hs * -1j  # one new stack per knot; -1j * hs + k_const makes
-                ks += k_const  # two, which costs a cold run more (BENCH_16.json)
-                y = rows[0] = eq.window(ks, h, y)
         drift, w_min = _check(eq, knots[i + 1:j + 1], rows, is_sample[i + 1:j + 1])
         max_drift, min_eig = max(max_drift, drift), min(min_eig, w_min)
         phases = np.cumsum(np.concatenate(([phase], shift * spans[i:j])))[1:]

@@ -31,9 +31,10 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def herm_func(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian operator, V f(w) V†."""
+    """Apply a real scalar function to a Hermitian operator, V f(w) V†; an f
+    that returns a (k, n) stack of values gives k operators from the one eigh."""
     w, v = np.linalg.eigh(a)
-    return hermitize((v * f(w)) @ v.conj().T)
+    return hermitize((v * f(w)[..., None, :]) @ v.conj().T)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -145,7 +145,8 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
     and at the drive flux inside the ramp window (one stacked eigh); at A
     throughout with label_mode "frozen". Energies use the drive flux at each
     sample. A psi stack is never expanded to (T, d, d): its S(rho) is the closed
-    form -n ln n of psi psi†, n = |psi|^2, and its purity is 1.
+    form -n ln n of psi psi†, n = |psi|^2, its purity is 1, and S(rho_e) serves
+    for S(rho_s) too, which has the same nonzero spectrum (Schmidt).
     """
     t, data, (de, ds) = traj.times, traj.data, traj.dims
     flux = drive.value(t)
@@ -160,6 +161,7 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
     v[inside] = np.linalg.eigh(model.ring_hamiltonian(flux[inside]))[1]
 
     rho_e, rho_s = reduced_states(data, traj.dims)
+    s_e = s_s = vn_entropy(rho_e)
     if traj.is_pure:
         psi = data.reshape(-1, de, ds)
         a10 = np.abs(np.einsum("ta,ta->t", v[:, :, 0].conj(), psi[:, 1]))  # <1e0s|psi>
@@ -188,9 +190,10 @@ def record_columns(traj: Trajectory, model: TruncatedModel, drive: FluxDrive,
         s_tot = np.concatenate([vn_entropy(block) for block in blocks])
         purity = np.concatenate([np.trace(block @ block, axis1=1, axis2=2).real
                                  for block in blocks])
+        s_s = vn_entropy(rho_s)
 
-    i_e = s_tot - vn_entropy(rho_e)
-    i_s = s_tot - vn_entropy(rho_s)
+    i_e = s_tot - s_e
+    i_s = s_tot - s_s
     return {
         "t": t, "P_10": p10, "P_01": p01, "I_e": i_e, "I_s": i_s,
         "ent_mag": -0.5 * (i_e + i_s),

@@ -128,19 +128,23 @@ def complex_sweep(cfg: SweepConfig) -> tuple:
 
 class StaticHamiltonian:
     """A constant H in the integrators' Hamiltonian interface (that of
-    circuit.RampHamiltonian): no breakpoints, and a call on an array of times
-    gives a read-only stack that repeats H once per time. `frozen` is what
-    static_on reports for every interval: False makes each one a ramp window
-    interval, so the integrator steps through it stage by stage."""
+    circuit.RampHamiltonian): no breakpoints, one piece, H, with coefficient
+    1 at every time, and a call on an array of times that gives a read-only
+    stack repeating H once per time. `frozen` is what static_on reports for
+    every interval: False makes each one a ramp window interval, so the
+    integrator steps through it stage by stage."""
 
     breakpoints = ()
 
     def __init__(self, h: np.ndarray, frozen: bool = True):
-        self._h = np.asarray(h, dtype=complex)
+        self.pieces = np.asarray(h, dtype=complex)[None]
         self.frozen = frozen
 
+    def coefficients(self, t) -> np.ndarray:
+        return np.ones(np.shape(t) + (1,))
+
     def __call__(self, t) -> np.ndarray:
-        return np.broadcast_to(self._h, np.shape(t) + self._h.shape)
+        return np.broadcast_to(self.pieces[0], np.shape(t) + self.pieces.shape[1:])
 
     def static_on(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full(np.shape(a), self.frozen)

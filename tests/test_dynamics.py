@@ -573,20 +573,25 @@ def test_ramp_near_a_sample_emits_each_sample_once(model):
 
 
 def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
-    """A default-length ramp calls H once per constant stretch, on one time, and
-    once per ramp-window knot, on the stack of its 2n + 1 RK4 stage times; never
-    once per RK4 step. It asks `static_on` once, on the arrays of all knot
-    intervals, and builds one step map per frozen pass (one n = 1 call of
-    `_rk4_maps` on a constant K): the stretch before t0, and after t0 + tr the
-    short interval to the next sample and the rest. Each window knot builds its
-    maps in one more call."""
-    calls, static_calls, step_maps = [], [], []
-    real_call, real_static_on = RampHamiltonian.__call__, RampHamiltonian.static_on
+    """A default-length ramp takes H's coefficients once per constant stretch,
+    on a (1, 3) array (the stage times of its first interval as one RK4 step,
+    of which K at the midpoint is used), and once per pass of
+    ramp-window knots, on the (knots, 2n + 1) array of their RK4 stage times:
+    a pass holds the knots of equal step count and span, so the 33 full
+    sample intervals of the window make one and the short last one another.
+    It never takes them once per knot or RK4 step, and never calls H itself.
+    It asks `static_on` once, on the arrays of all knot intervals, and builds
+    one step map per frozen pass (one n = 1 call of `_rk4_maps` on a constant
+    K): the stretch before t0, and after t0 + tr the short interval to the
+    next sample and the rest. Each window knot builds its maps in one more
+    call."""
+    calls, h_calls, static_calls, step_maps = [], [], [], []
+    real_coefficients, real_static_on = RampHamiltonian.coefficients, RampHamiltonian.static_on
     real_maps = dynamics._rk4_maps
 
     def counted(self, t):
         calls.append(np.shape(t))
-        return real_call(self, t)
+        return real_coefficients(self, t)
 
     def counted_static_on(self, a, b):
         static_calls.append((np.shape(a), np.shape(b)))
@@ -596,7 +601,8 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
         step_maps.append((len(k1), k1 is k2 is k4))
         return real_maps(k1, k2, k4, h, out)
 
-    monkeypatch.setattr(RampHamiltonian, "__call__", counted)
+    monkeypatch.setattr(RampHamiltonian, "coefficients", counted)
+    monkeypatch.setattr(RampHamiltonian, "__call__", lambda self, t: h_calls.append(t))
     monkeypatch.setattr(RampHamiltonian, "static_on", counted_static_on)
     monkeypatch.setattr(dynamics, "_rk4_maps", counted_maps)
     drive, t_end, dt = FluxDrive(), 3 * FluxDrive.t0, IntegratorConfig.dt
@@ -605,16 +611,18 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     psi0[model.ds] = 1.0
     evolve_tdse(QuantumState.pure(psi0, (model.de, model.ds)), ham, t_end)
 
-    knots, _ = _knots(0.0, t_end, SAMPLE_DT, drive.breakpoints)
+    knots, is_sample = _knots(0.0, t_end, SAMPLE_DT, drive.breakpoints)
     assert static_calls == [((len(knots) - 1,), (len(knots) - 1,))]
     frozen_maps = [n for n, constant in step_maps if constant]
     assert frozen_maps == [1, 1, 1]
     window = [(a, b) for a, b in zip(knots[:-1], knots[1:]) if not ham.static_on(a, b)]
     assert len(window) == 34
     assert len(step_maps) == 3 + len(window)
-    assert calls.count(()) == 2  # the stretches before t0 and after t0 + tr
-    assert [shape for shape in calls if shape] == [
-        (2 * max(1, math.ceil((b - a) / dt)) + 1,) for a, b in window]
+    assert h_calls == []
+    steps = [max(1, math.ceil((b - a) / dt)) for a, b in window]
+    assert {b - a for a, b in window[:-1]} == {0.5} and set(steps[:-1]) == {100} != {steps[-1]}
+    assert is_sample[(knots >= window[0][0]) & (knots < window[-1][1])].all()
+    assert calls == [(1, 3), (len(window) - 1, 2 * steps[0] + 1), (1, 2 * steps[-1] + 1), (1, 3)]
 
 
 def _staged_rk4(ks, h, psi):
@@ -627,6 +635,11 @@ def _staged_rk4(ks, h, psi):
         s4 = ks[s + 2] @ (psi + h * s3)
         psi = psi + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
     return psi
+
+
+def _k_thirds(ks):
+    """The K1, K2 and K4 stacks (step starts, middles, ends) of stage stack ks."""
+    return ks[0:-1:2], ks[1::2], ks[2::2]
 
 
 @pytest.mark.parametrize("d", [16, dynamics.WINDOW_MAP_MAX_DIM])
@@ -647,10 +660,10 @@ def test_tdse_window_maps_equal_staged_rk4(n, d):
     want = _staged_rk4(ks, h, psi)
     used = dynamics._Schrodinger(d)
     for m in (n + 3, max(1, n - 1)):
-        used.window(random_stack(m), h, psi)
+        used.window(*_k_thirds(random_stack(m)), h, psi)
     ks_before, psi_before = ks.copy(), psi.copy()
     for eq in (dynamics._Schrodinger(d), used):
-        got = eq.window(ks, h, psi)
+        got = eq.window(*_k_thirds(ks), h, psi)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     np.testing.assert_array_equal(ks, ks_before)
     np.testing.assert_array_equal(psi, psi_before)
@@ -663,7 +676,7 @@ def test_tdse_window_above_map_dim_runs_the_stage_loop():
     d, n, h = dynamics.WINDOW_MAP_MAX_DIM + 1, 7, 0.005
     ks = rng.normal(size=(2 * n + 1, d, d)) + 1j * rng.normal(size=(2 * n + 1, d, d))
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    np.testing.assert_array_equal(dynamics._Schrodinger(d).window(ks, h, psi),
+    np.testing.assert_array_equal(dynamics._Schrodinger(d).window(*_k_thirds(ks), h, psi),
                                   _staged_rk4(ks, h, psi))
 
 

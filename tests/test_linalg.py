@@ -57,6 +57,17 @@ def test_operator_trig_identity(seed, dim):
     np.testing.assert_allclose(c @ c + s @ s, np.eye(dim), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [40, 80])
+def test_herm_func_stack_is_each_function_bit_for_bit(dim):
+    """A function that returns a stack of values gives, from one eigh, the
+    operators of each function alone, bit for bit: the ring's cos and sin of
+    the flux angle at the default and the doubled convergence-check basis."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    x = 0.3 * (a + a.T)
+    both = herm_func(x, lambda w: np.stack([np.cos(w), np.sin(w)]))
+    np.testing.assert_array_equal(both, [herm_func(x, np.cos), herm_func(x, np.sin)])
+
+
 def _partial_trace_loops(rho, dims, keep):
     """Oracle: explicit index summation, no reshaping tricks."""
     d0, d1 = dims

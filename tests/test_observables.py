@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from squidring.circuit import FluxDrive
 from squidring.dynamics import QuantumState, Trajectory
-from squidring.experiments import RampConfig
+from squidring.experiments import RampConfig, default_model
+from squidring.linalg import partial_trace, vn_entropy
 from squidring.observables import (
     RECORD_COLUMNS,
     component_energy,
@@ -163,3 +164,23 @@ def test_pure_records_pass_never_forms_a_density_stack(model, ramp_result):
         tracemalloc.stop()
     t, d = traj.data.shape
     assert peak < t * d * d * np.dtype(complex).itemsize
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_pure_records_take_one_entropy(de, ds, n, rank, seed):
+    """rho_e and rho_s of a pure state share their nonzero spectrum (Schmidt),
+    so the records of a psi stack take S(rho_e) for both indices: over random
+    (de, ds) and states of random Schmidt rank, I_e equals I_s bit for bit,
+    and the entropy they hold is within 1e-12 of S(rho_s)."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, de, ds)
+    a, b = (rng.normal(size=(n, dim, rank, 2)) @ [1, 1j] for dim in (de, ds))
+    psi = np.einsum("tar,tbr->tab", a, b).reshape(n, -1)
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    traj = Trajectory(np.arange(n, dtype=float), (de, ds), psi)
+    rec = record_columns(traj, default_model(de=de, ds=ds), FluxDrive(t0=1.0, tr=2.0))
+    np.testing.assert_array_equal(rec["I_e"], rec["I_s"])
+    rho_s = partial_trace(np.einsum("ti,tj->tij", psi, psi.conj()), (de, ds), keep=1)
+    assert np.max(np.abs(-rec["I_s"] - vn_entropy(rho_s))) < 1e-12

@@ -132,6 +132,38 @@ def test_rk4_maps_on_a_constant_generator_are_the_taylor_polynomial(d, h, seed):
     assert np.linalg.norm(got[0] - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.36, 0.40), st.floats(0.2, 20.0), st.floats(0.0, 400.0),
+       st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4), st.integers(1, 8),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_k_stacks_are_the_generator_at_each_stage_time(model, b, tr, t0, spans, n,
+                                                        dense_k_fix, seed):
+    """The window's K builder on random drives, over window intervals from t0
+    to t0 + tr: every step start a + j h (the last one b itself) and every
+    midpoint a + (j + 1/2) h of the K stack equals -1j (H(t) - shift I) +
+    k_fix within 1e-14 relative, with H = RampHamiltonian.__call__ at that
+    stage time, shift its mean diagonal at a + n h / 2, and k_fix zero or a
+    random dense matrix."""
+    ham = RampHamiltonian(model, FluxDrive(B=b, t0=t0, tr=tr))
+    rng = np.random.default_rng(seed)
+    d = model.dim
+    k_fix = rng.normal(size=(d, d, 2)) @ [1, 1j] if dense_k_fix else np.zeros((d, d), complex)
+    knots = t0 + tr * np.cumsum([0.0] + spans) / sum(spans)
+    knots[-1] = t0 + tr
+    a, b = knots[:-1], knots[1:]
+    for k, (shift, ks) in enumerate(dynamics._k_stacks(ham, k_fix, a, b, n)):
+        h = (b[k] - a[k]) / n
+        starts = a[k] + h * np.arange(n + 1)
+        starts[-1] = b[k]
+        stage = np.concatenate([starts, a[k] + h * (np.arange(n) + 0.5)])
+        h_mid = ham(a[k] + 0.5 * n * h)
+        assert abs(shift - np.trace(h_mid).real / d) <= 1e-14 * np.abs(h_mid).max()
+        want = -1j * (ham(stage) - shift * np.eye(d)) + k_fix
+        assert ks.shape == want.shape
+        for got_k, want_k in zip(ks, want):
+            assert np.linalg.norm(got_k - want_k) <= 1e-14 * np.linalg.norm(want_k)
+
+
 def _scalar_schedule(drive, t):
     """FluxDrive's documented schedule at one time, in plain Python."""
     if t <= drive.t0:

@@ -5,11 +5,13 @@ not test what it claims to. A Hypothesis property runs its body on one example
 here, without the search and shrinking of a failing run."""
 import inspect
 
+import numpy as np
 import pytest
 
 import test_dynamics
+import test_experiments
 import test_properties
-from squidring import circuit, dynamics, linalg
+from squidring import circuit, dynamics, linalg, observables
 
 
 def _wrong_stage_weight(monkeypatch):
@@ -36,13 +38,27 @@ def _loosened(module, name):
     return apply
 
 
-def _loose_convergence_tol(monkeypatch):
-    """`truncate_to_eigenbasis` accepts a ring 1000 times less converged."""
-    f = circuit.truncate_to_eigenbasis
-    defaults = dict(zip(list(inspect.signature(f).parameters)[-len(f.__defaults__):],
-                        f.__defaults__))
-    defaults["convergence_tol"] *= 1000
-    monkeypatch.setattr(f, "__defaults__", tuple(defaults.values()))
+def _scaled_default(f, name, factor):
+    """The default of the argument `name` of `f` scaled by factor."""
+    def apply(monkeypatch):
+        defaults = dict(zip(list(inspect.signature(f).parameters)[-len(f.__defaults__):],
+                            f.__defaults__))
+        defaults[name] *= factor
+        monkeypatch.setattr(f, "__defaults__", tuple(defaults.values()))
+    return apply
+
+
+def _no_constant_piece(monkeypatch):
+    """The window knots' K stacks lack their constant piece k_fix + i shift."""
+    real = dynamics._k_stacks
+
+    def stacks(hamiltonian, k_fix, a, b, n):
+        for shift, ks in real(hamiltonian, k_fix, a, b, n):
+            if not hamiltonian.static_on(a[:1], b[:1])[0]:  # a window pass
+                ks -= k_fix + 1j * shift * np.eye(len(k_fix))
+            yield shift, ks
+
+    monkeypatch.setattr(dynamics, "_k_stacks", stacks)
 
 
 DEFECTS = {
@@ -66,8 +82,23 @@ DEFECTS = {
     "EIG_CLIP x1000": (_loosened(linalg, "EIG_CLIP"), [
         (test_properties.test_record_columns_reject_a_negative_density_matrix, {}),
     ]),
-    "convergence_tol x1000": (_loose_convergence_tol, [
+    "convergence_tol x1000": (_scaled_default(circuit.truncate_to_eigenbasis,
+                                              "convergence_tol", 1000), [
         (test_properties.test_small_fock_basis_fails_the_convergence_check, {}),
+    ]),
+    "sweep rel_tol 0.01 -> 0.5": (_scaled_default(observables.closed_form_time_average,
+                                                  "rel_tol", 50), [
+        (test_experiments.test_static_averages_match_time_grid, {"phi": 0.42864}),
+        (test_properties.test_static_averages_twin_symmetry.hypothesis.inner_test,
+         {"cs_scale": 1.0, "lambda_scale": 1.0, "mu_es": 0.01, "fluxes": [0.42864]}),
+    ]),
+    "window K without its constant piece": (_no_constant_piece, [
+        (test_properties.test_k_stacks_are_the_generator_at_each_stage_time.hypothesis
+         .inner_test, {"b": 0.38, "tr": 16.6, "t0": 326.0, "spans": [1.0, 1.0], "n": 3,
+                       "dense_k_fix": False, "seed": 0}),
+        (test_properties.test_ramp_window_matches_per_step_rk4.hypothesis.inner_test,
+         {"equation": "tdse", "a": 0.42864, "b": 0.38, "tr": 0.3, "t0_samples": 2,
+          "offset": 0.1}),
     ]),
 }
 
