@@ -202,8 +202,9 @@ class FluxDrive:
 
     def __post_init__(self):
         check_types(self)
-        if self.tr <= 0:
-            raise ValueError("FluxDrive.tr must be positive")
+        if not self.t0 + self.tr > self.t0:  # a tr that vanishes against t0 drops the ramp
+            raise ValueError(f"FluxDrive.tr = {self.tr!r} must be positive and not vanish "
+                             f"against t0 = {self.t0!r}")
         if self.t0 < 0:
             raise ValueError("FluxDrive.t0 must be nonnegative")
 

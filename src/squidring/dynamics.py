@@ -7,12 +7,12 @@ dy/dt = G(t) y, with y = psi or vec(rho), and share one fixed-step RK4 core
 the interface of circuit.RampHamiltonian: `breakpoints`, where the core splits
 at drive discontinuities; `static_on(a, b)` on arrays of interval ends, which
 intervals have a frozen drive; and H(t) = sum_k c_k(t) P_k as `pieces` and
-`coefficients(t)`. `_k_stacks` builds K from these, `_rk4_maps` every RK4 step
-map. A run of frozen intervals takes K once and applies its one-step map's
-power once per knot; a run of window knots takes the coefficients at all their
-RK4 stage times from one call, and a TDSE of dimension up to WINDOW_MAP_MAX_DIM
-turns each knot's K into per-step maps, a larger TDSE or the master equation
-runs the stage loop.
+`coefficients(t)`. Each pass over a run of knots takes its own K from
+`_k_stacks`, and `_rk4_maps` builds every RK4 step map. A frozen pass applies
+its one-step map's power once per knot; a window pass takes the coefficients at
+all its RK4 stage times from one call, and `_window`, the one window path,
+turns each knot's K into per-step maps for a psi of dimension up to
+WINDOW_MAP_MAX_DIM and runs the stage loop for a larger psi or any rho.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -194,25 +194,9 @@ class _Schrodinger:
 
     def __init__(self, dim: int):
         self.k_fix = np.zeros((dim, dim), complex)
-        self._buffers = np.empty((3, 0, dim, dim), complex)  # window maps, grown on demand
 
     def apply(self, k, psi):
         return k @ psi
-
-    def window(self, k1, k2, k4, h, psi):
-        """n RK4 steps of size h across a window interval, from K1, K2 and K4 as
-        for `_rk4_maps`, into buffers that every window knot reuses (fresh
-        temporaries would cost as much as the stage loop), then one
-        matrix-vector product per step. Above WINDOW_MAP_MAX_DIM the stage loop
-        is cheaper, and runs instead."""
-        n, d = len(k1), len(psi)
-        if d > WINDOW_MAP_MAX_DIM:
-            return _rk4_stages(self.apply, k1, k2, k4, h, psi)
-        if len(self._buffers[0]) < n:
-            self._buffers = np.empty((3, n, d, d), complex)
-        for m in _rk4_maps(k1, k2, k4, h, self._buffers[:, :n]):
-            psi = m @ psi
-        return psi
 
     def dense(self, k):
         return k
@@ -247,12 +231,6 @@ class _Master:
 
     def apply(self, k, rho):
         return k @ rho + rho @ k.conj().T + (self.c @ rho @ self.c_dag).sum(axis=0)
-
-    def window(self, k1, k2, k4, h, rho):
-        """n RK4 steps of size h across a window interval, K1, K2 and K4 as for
-        `_Schrodinger.window`, then settle: the stage loop, since the dense
-        step map would be d^2 x d^2 per step."""
-        return self.settle(_rk4_stages(self.apply, k1, k2, k4, h, rho))
 
     def dense(self, k):
         eye = np.eye(len(k))
@@ -311,6 +289,23 @@ def _rk4_maps(k1, k2, k4, h, out):
     return s2
 
 
+def _takes_maps(y) -> bool:
+    """Whether window knots advance y by per-step maps: a psi of <= WINDOW_MAP_MAX_DIM."""
+    return y.ndim == 1 and len(y) <= WINDOW_MAP_MAX_DIM
+
+
+def _window(eq, k1, k2, k4, h, y, out):
+    """n RK4 steps of size h across a window knot interval, K1, K2 and K4 as for
+    `_rk4_maps`; the only code that picks the path. Where `_takes_maps`, the
+    maps, built into `out` (its pass's three (n, d, d) buffers), then one product
+    per step; else the stage loop (O(d^2) a step against O(d^3)), then eq.settle."""
+    if not _takes_maps(y):
+        return eq.settle(_rk4_stages(eq.apply, k1, k2, k4, h, y))
+    for m in _rk4_maps(k1, k2, k4, h, out):
+        y = m @ y
+    return y
+
+
 def _check(eq, times, states, samples) -> tuple[float, float]:
     """Abort checks on a stack of consecutive knot states: drift and
     finiteness of each, and positivity of each one flagged in `samples`.
@@ -339,7 +334,8 @@ def _k_stacks(hamiltonian, k_fix, a, b, n):
     n midpoints. H(t) = sum_k c_k(t) P_k, with one coefficients call for all
     intervals, then one real product per interval (-i P and k_fix + i shift,
     coefficient 1, viewed as floats) into one reused buffer; shift is H's
-    mean diagonal at a + n h / 2. Yields (shift, K); the next overwrites K."""
+    mean diagonal at a + n h / 2. Yields (shift, K1, K2, K4), views of K at the
+    step starts, middles and ends; the next interval overwrites them."""
     order = np.concatenate([np.arange(0, 2 * n + 1, 2), np.arange(1, 2 * n, 2)])
     times = a[:, None] + order * (0.5 * ((b - a) / n))[:, None]
     times[:, n] = b
@@ -350,10 +346,11 @@ def _k_stacks(hamiltonian, k_fix, a, b, n):
     shifts = c[:, (order == n).argmax(), :p] @ np.trace(pieces, axis1=1, axis2=2).real / d
     q = np.concatenate([-1j * pieces, k_fix[None]])
     ks = np.empty((2 * n + 1, d, d), complex)
+    k1, k4, k2 = ks[:n], ks[1:n + 1], ks[n + 1:]
     for row, shift in zip(c, shifts.tolist()):
         q[p] = k_fix + 1j * shift * np.eye(d)
         np.matmul(row, q.reshape(p + 1, -1).view(float), out=ks.reshape(2 * n + 1, -1).view(float))
-        yield shift, ks
+        yield shift, k1, k2, k4
 
 
 def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
@@ -365,21 +362,19 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     `static_on` call on all knot intervals. A pass covers a run of frozen
     intervals (a constant-H stretch) or of window intervals, and a new one
     starts where (n, rounded span) changes and after a knot that is not a
-    sample. K comes from `_k_stacks`: at the first interval's midpoint of a
-    frozen stretch, for all its passes, and at every RK4 stage of a window
-    pass, from one coefficients call per pass. A frozen pass takes
-    `_rk4_maps`' one-step map of the dense generator (n = 1, K1 = K2 = K4) to
-    the power n once, and applies it to the flattened state, then
-    `eq.settle`, once per knot. A window knot is one `eq.window` call on its
-    K1, K2 and K4 stacks. A pass over knots i + 1 .. j writes output rows
-    row(i + 1) .. row(j), row(k) being the number of samples before knot k, so
-    a knot that is not a sample (the last of its pass) lands in the next
-    sample's row, which the next pass overwrites.
-    H is shifted by its mean diagonal at the stretch's or knot's midpoint
-    (`shift`; the TDSE phase it removes is restored on output). `_check` runs
-    on the initial state and once per pass: drift and finiteness at every
-    knot, the lowest eigenvalue at every sample; the first failure raises.
-    Returns (times, samples, max drift, min eigenvalue).
+    sample. Each pass takes its own K and shift (H's mean diagonal; the TDSE
+    phase it removes is restored on output) from one `_k_stacks` call: a
+    frozen pass at its first interval's midpoint (its bits anywhere inside
+    it), a window pass at every RK4 stage. A frozen pass applies the n-th
+    power of `_rk4_maps`' one-step map of the dense generator to the flattened
+    state, then `eq.settle`, once per knot. A window knot is one `_window`
+    call, with map buffers allocated once per pass where `_takes_maps`. A pass
+    over knots i + 1 .. j writes output rows row(i + 1) .. row(j), row(k)
+    being the number of samples before knot k, so a knot that is not a sample
+    (the last of its pass) lands in the next sample's row, which the next pass
+    overwrites. `_check` runs on the initial state and once per pass: drift
+    and finiteness at every knot, the lowest eigenvalue at every sample; the
+    first failure raises. Returns (times, samples, max drift, min eigenvalue).
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end >= t_start):
         raise ValueError(f"t_end must be a finite time >= t_start = {t_start!r}, got {t_end!r}")
@@ -411,16 +406,15 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
         with np.errstate(over="ignore", invalid="ignore"):  # _check catches a blow-up
             if not frozen[i]:
                 shift = np.empty(j - i)
-                ks_pass = _k_stacks(hamiltonian, eq.k_fix, knots[i:j], knots[i + 1:j + 1], n)
-                for k, (shift_k, ks) in enumerate(ks_pass):
-                    shift[k] = shift_k
-                    y = rows[k] = eq.window(ks[:n], ks[n + 1:], ks[1:n + 1], spans[i + k] / n, y)
-            else:
-                if i == 0 or not frozen[i - 1]:  # K at the midpoint: the rate jumps at ends
-                    ((shift, k_mid),) = _k_stacks(hamiltonian, eq.k_fix, knots[i:i + 1],
-                                                  knots[i + 1:i + 2], 1)
+                maps = np.empty((3, n) + y.shape * 2, complex) if _takes_maps(y) else None
+                stacks = _k_stacks(hamiltonian, eq.k_fix, knots[i:j], knots[i + 1:j + 1], n)
+                for k, (shift[k], k1, k2, k4) in enumerate(stacks):
+                    y = rows[k] = _window(eq, k1, k2, k4, spans[i + k] / n, y, maps)
+            else:  # K at the first interval's midpoint: the rate jumps at its ends
+                ((shift, _, (k_mid,), _),) = _k_stacks(hamiltonian, eq.k_fix, knots[i:i + 1],
+                                                       knots[i + 1:i + 2], 1)
                 # 3 buffers, g freed: a (3, 1, 256, 256) block cost dissipative 3 MiB RSS
-                g = eq.dense(k_mid[2])[None]
+                g = eq.dense(k_mid)[None]
                 step = _rk4_maps(g, g, g, spans[i] / n, [np.empty_like(g) for _ in range(3)])[0]
                 del g
                 step_map = np.linalg.matrix_power(step, n)

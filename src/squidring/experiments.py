@@ -461,6 +461,7 @@ def find_crossing_time(model: TruncatedModel, flux: float, t_max: float,
     w, v = np.linalg.eigh(h)
     basis = labeled_basis(model, flux)
     psi0 = basis.state(1, 0)
+    grid_intervals(t_max, dt)  # MemoryError, not arange's ValueError, for a grid too large
     ts = np.arange(0.0, t_max + dt, dt)
     psi_t = v @ (np.exp(-1j * np.outer(w, ts)) * (v.conj().T @ psi0)[:, None])
     p10 = np.abs(basis.state(1, 0).conj() @ psi_t) ** 2

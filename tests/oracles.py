@@ -128,11 +128,12 @@ def complex_sweep(cfg: SweepConfig) -> tuple:
 
 class StaticHamiltonian:
     """A constant H in the integrators' Hamiltonian interface (that of
-    circuit.RampHamiltonian): no breakpoints, one piece, H, with coefficient
-    1 at every time, and a call on an array of times that gives a read-only
-    stack repeating H once per time. `frozen` is what static_on reports for
-    every interval: False makes each one a ramp window interval, so the
-    integrator steps through it stage by stage."""
+    circuit.RampHamiltonian): no breakpoints, one piece, H, with coefficient 1
+    at every time, and, for the oracles (the integrators never call it), a
+    call on an array of times that gives a read-only stack repeating H once
+    per time. `frozen` is what static_on reports for every interval: False
+    makes each one a ramp window interval, so the integrator steps through it
+    stage by stage."""
 
     breakpoints = ()
 

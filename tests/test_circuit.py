@@ -93,6 +93,17 @@ def test_flux_drive_schedule():
         FluxDrive(tr=0.0)
 
 
+@pytest.mark.parametrize("t0, tr", [(326.0, 1e-300), (326.0, 2e-14), (1e300, 16.6),
+                                     (0.0, -1.0)])
+def test_flux_drive_rejects_a_ramp_that_vanishes_against_t0(t0, tr):
+    """t0 + tr must lie beyond t0: a ramp that rounds away has no window, and
+    the flux would jump from A to B without its charge impulse. One ulp of t0
+    is enough."""
+    with pytest.raises(ValueError, match=f"FluxDrive.tr = {tr!r} must be positive"):
+        FluxDrive(t0=t0, tr=tr)
+    assert FluxDrive(t0=326.0, tr=6e-14).breakpoints[1] == np.nextafter(326.0, 327.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["A", "B", "t0", "tr"])
 def test_flux_drive_rejects_non_finite_values(name, bad):

@@ -121,6 +121,18 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, target):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [["ramp.tr=1e-300"], ["ramp.t0=1e300", "ramp.auto_t0=true"]])
+def test_ramp_that_vanishes_against_t0_exits_2(tmp_path, capsys, overrides):
+    """A ramp time so small against t0 that t0 + tr rounds to t0 would leave no
+    window knot, so the flux would jump from A to B without the charge term's
+    impulse: a config error that names tr, with no data file and no
+    resolved_config.json."""
+    out = tmp_path / "run"
+    assert main(["ramp", "--out", str(out)] + [a for o in overrides for a in ("--set", o)]) == 2
+    assert "FluxDrive.tr = " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_format_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["ramp", "--out", str(out), "--format", "xml"]) == 2
@@ -534,7 +546,7 @@ def test_default_commands_import_no_numpy_ma(tmp_path):
 
 # Sample grids too large to hold: the first three fail numpy's allocation (7.12
 # TiB, 14.2 PiB and 7.45 GiB), the others are more samples or steps than numpy
-# can size at all.
+# can size at all; the last is auto_t0's crossing search over 4 t0.
 OVERSIZED_GRIDS = [
     ["ramp", "--set", "output.sample_dt=1e-9"],
     ["sweep", "--set", "sweep.sample_dt=1e-12"],
@@ -543,6 +555,7 @@ OVERSIZED_GRIDS = [
     ["ramp", "--set", "output.sample_dt=5e-324"],
     ["sweep", "--set", "sweep.points=10000000000000000000"],
     ["validate", "--set", "integrator.dt=1e-300"],
+    ["ramp", "--set", "ramp.t0=1e17", "--set", "ramp.auto_t0=true"],
 ]
 ADDRESS_SPACE = 2 * 1024**3  # bytes: a cap below every grid above
 

@@ -1,6 +1,7 @@
 """Integrator tests: TDSE and Lindblad against independent analytic oracles."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,8 +323,8 @@ def test_static_hamiltonian_wrapper():
 @pytest.mark.parametrize("equation", ["tdse", "lindblad"])
 def test_plain_callable_is_not_a_hamiltonian(equation):
     """The integrators take one Hamiltonian interface (breakpoints, static_on,
-    a call on an array of times); a plain callable t -> H raises before any
-    step is taken."""
+    pieces and coefficients); a plain callable t -> H raises before any step
+    is taken."""
     def h(t):
         return np.diag([0.0, 1.0]).astype(complex)
 
@@ -387,6 +388,32 @@ def test_step_map_matches_stepping(model, equation):
     mapped = _both_equations(model, equation, StaticHamiltonian(h))
     stepped = _both_equations(model, equation, StaticHamiltonian(h, frozen=False))
     assert _max_deviation(mapped, stepped) < 1e-12
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_integrators_read_only_the_four_interface_members(frozen):
+    """A Hamiltonian with exactly `breakpoints`, `static_on`, `pieces` and
+    `coefficients`, and no `__call__`, runs both integrators, frozen and
+    through window knots, bit for bit as StaticHamiltonian does."""
+    d = 3
+    rng = np.random.default_rng(3)
+    h = hermitize(rng.normal(size=(d, d, 2)) @ [1, 1j])
+    bare = SimpleNamespace(breakpoints=(), pieces=h[None],
+                           coefficients=lambda t: np.ones(np.shape(t) + (1,)),
+                           static_on=lambda a, b: np.full(np.shape(a), frozen))
+    assert not callable(bare)
+    psi0 = QuantumState.pure(np.ones(d) / math.sqrt(d), (1, d))
+    rho0 = QuantumState.mixed(psi0.density(), (1, d))
+    baths = BathParams(gamma_e=0.1, gamma_s=0.0, omega_b=OMEGA_S)
+    ops = (ladder(d), np.zeros((d, d)))
+
+    def runs(ham):
+        return (evolve_tdse(psi0, ham, 5.0, sample_dt=1.0),
+                evolve_lindblad(rho0, ham, baths, ops, 5.0, sample_dt=1.0))
+
+    for got, want in zip(runs(bare), runs(StaticHamiltonian(h, frozen=frozen))):
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_tdse_sample_grid_and_breakpoints(model):
@@ -573,18 +600,18 @@ def test_ramp_near_a_sample_emits_each_sample_once(model):
 
 
 def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
-    """A default-length ramp takes H's coefficients once per constant stretch,
-    on a (1, 3) array (the stage times of its first interval as one RK4 step,
-    of which K at the midpoint is used), and once per pass of
-    ramp-window knots, on the (knots, 2n + 1) array of their RK4 stage times:
-    a pass holds the knots of equal step count and span, so the 33 full
-    sample intervals of the window make one and the short last one another.
-    It never takes them once per knot or RK4 step, and never calls H itself.
-    It asks `static_on` once, on the arrays of all knot intervals, and builds
-    one step map per frozen pass (one n = 1 call of `_rk4_maps` on a constant
-    K): the stretch before t0, and after t0 + tr the short interval to the
-    next sample and the rest. Each window knot builds its maps in one more
-    call."""
+    """A default-length ramp takes H's coefficients once per pass: on a (1, 3)
+    array for each frozen pass (the stage times of its first interval as one
+    RK4 step, of which K at the midpoint is used), and on the (knots, 2n + 1)
+    array of their RK4 stage times for each pass of ramp-window knots: a pass
+    holds the knots of equal step count and span, so the 33 full sample
+    intervals of the window make one and the short last one another. The
+    frozen passes are the stretch before t0, and after t0 + tr the short
+    interval to the next sample and the rest, each with its own K. It never
+    takes the coefficients once per knot or RK4 step, and never calls H
+    itself. It asks `static_on` once, on the arrays of all knot intervals, and
+    builds one step map per frozen pass (one n = 1 call of `_rk4_maps` on a
+    constant K). Each window knot builds its maps in one more call."""
     calls, h_calls, static_calls, step_maps = [], [], [], []
     real_coefficients, real_static_on = RampHamiltonian.coefficients, RampHamiltonian.static_on
     real_maps = dynamics._rk4_maps
@@ -622,19 +649,21 @@ def test_ramp_evaluates_h_per_stretch_and_window_knot(model, monkeypatch):
     steps = [max(1, math.ceil((b - a) / dt)) for a, b in window]
     assert {b - a for a, b in window[:-1]} == {0.5} and set(steps[:-1]) == {100} != {steps[-1]}
     assert is_sample[(knots >= window[0][0]) & (knots < window[-1][1])].all()
-    assert calls == [(1, 3), (len(window) - 1, 2 * steps[0] + 1), (1, 2 * steps[-1] + 1), (1, 3)]
+    assert calls == [(1, 3), (len(window) - 1, 2 * steps[0] + 1), (1, 2 * steps[-1] + 1),
+                     (1, 3), (1, 3)]
 
 
-def _staged_rk4(ks, h, psi):
-    """Textbook RK4 for dpsi/dt = K(t) psi, with K at the stage times a, a + h/2
-    (for stages 2 and 3) and a + h of each step: ks[2s], ks[2s + 1], ks[2s + 2]."""
+def _staged_rk4(ks, h, y, apply=np.matmul):
+    """Textbook RK4 for dy/dt = apply(K(t), y), with K at the stage times a,
+    a + h/2 (for stages 2 and 3) and a + h of each step: ks[2s], ks[2s + 1],
+    ks[2s + 2]."""
     for s in range(0, len(ks) - 1, 2):
-        s1 = ks[s] @ psi
-        s2 = ks[s + 1] @ (psi + 0.5 * h * s1)
-        s3 = ks[s + 1] @ (psi + 0.5 * h * s2)
-        s4 = ks[s + 2] @ (psi + h * s3)
-        psi = psi + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
-    return psi
+        s1 = apply(ks[s], y)
+        s2 = apply(ks[s + 1], y + 0.5 * h * s1)
+        s3 = apply(ks[s + 1], y + 0.5 * h * s2)
+        s4 = apply(ks[s + 2], y + h * s3)
+        y = y + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+    return y
 
 
 def _k_thirds(ks):
@@ -642,28 +671,28 @@ def _k_thirds(ks):
     return ks[0:-1:2], ks[1::2], ks[2::2]
 
 
+def _random_stack(rng, n, d):
+    """A random complex (2n + 1, d, d) stage stack whose K1, K2 and K4 all differ."""
+    return 3 * (rng.normal(size=(2 * n + 1, d, d)) + 1j * rng.normal(size=(2 * n + 1, d, d)))
+
+
 @pytest.mark.parametrize("d", [16, dynamics.WINDOW_MAP_MAX_DIM])
 @pytest.mark.parametrize("n", [1, 2, 7, 100])
 def test_tdse_window_maps_equal_staged_rk4(n, d):
-    """The TDSE window's n per-step maps, applied in order, equal the staged RK4
-    loop within 1e-13 relative, on a random K stack whose K1, K2 and K4 all
-    differ: for a fresh integrator and for one whose buffers a longer and a
-    shorter window used before. Neither the stack nor psi is written to."""
+    """The window core's n per-step maps for psi, applied in order, equal the
+    staged RK4 loop within 1e-13 relative, on a random K stack: in fresh map
+    buffers and in buffers that an earlier knot of the pass filled. Neither
+    the stack nor psi is written to."""
     rng = np.random.default_rng(n)
-    h = 0.005
-
-    def random_stack(m):
-        return 3 * (rng.normal(size=(2 * m + 1, d, d)) + 1j * rng.normal(size=(2 * m + 1, d, d)))
-
-    ks = random_stack(n)
+    h, eq = 0.005, dynamics._Schrodinger(d)
+    ks = _random_stack(rng, n, d)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     want = _staged_rk4(ks, h, psi)
-    used = dynamics._Schrodinger(d)
-    for m in (n + 3, max(1, n - 1)):
-        used.window(*_k_thirds(random_stack(m)), h, psi)
+    used = np.empty((3, n, d, d), complex)
+    dynamics._window(eq, *_k_thirds(_random_stack(rng, n, d)), h, psi, used)
     ks_before, psi_before = ks.copy(), psi.copy()
-    for eq in (dynamics._Schrodinger(d), used):
-        got = eq.window(*_k_thirds(ks), h, psi)
+    for out in (np.empty((3, n, d, d), complex), used):
+        got = dynamics._window(eq, *_k_thirds(ks), h, psi, out)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     np.testing.assert_array_equal(ks, ks_before)
     np.testing.assert_array_equal(psi, psi_before)
@@ -671,13 +700,28 @@ def test_tdse_window_maps_equal_staged_rk4(n, d):
 
 def test_tdse_window_above_map_dim_runs_the_stage_loop():
     """Above WINDOW_MAP_MAX_DIM, where the O(d^3) maps cost more than the stage
-    loop, the TDSE window is the stage loop, bit for bit."""
+    loop, psi's window knot is the stage loop, bit for bit, although the
+    window core is handed map buffers."""
     rng = np.random.default_rng(5)
     d, n, h = dynamics.WINDOW_MAP_MAX_DIM + 1, 7, 0.005
-    ks = rng.normal(size=(2 * n + 1, d, d)) + 1j * rng.normal(size=(2 * n + 1, d, d))
+    ks = _random_stack(rng, n, d)
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    np.testing.assert_array_equal(dynamics._Schrodinger(d).window(*_k_thirds(ks), h, psi),
-                                  _staged_rk4(ks, h, psi))
+    got = dynamics._window(dynamics._Schrodinger(d), *_k_thirds(ks), h, psi,
+                           np.empty((3, n, d, d), complex))
+    np.testing.assert_array_equal(got, _staged_rk4(ks, h, psi))
+
+
+def test_window_runs_the_stage_loop_for_a_small_rho():
+    """rho's window knot is the stage loop, then hermitized, bit for bit, even
+    at d = 2, whose 4 entries are fewer than WINDOW_MAP_MAX_DIM, and although
+    the window core is handed map buffers: the path follows the state's shape,
+    not its size."""
+    rng = np.random.default_rng(6)
+    n, h = 7, 0.005
+    ks, eq = _random_stack(rng, n, 2), dynamics._Master([ladder(2)], 2)
+    rho = np.array([[0.75, 0.25j], [-0.25j, 0.25]])
+    got = dynamics._window(eq, *_k_thirds(ks), h, rho, np.empty((3, n, 2, 2), complex))
+    np.testing.assert_array_equal(got, hermitize(_staged_rk4(ks, h, rho, eq.apply)))
 
 
 def test_tdse_default_ramp_peak_memory(model):

@@ -139,11 +139,11 @@ def test_rk4_maps_on_a_constant_generator_are_the_taylor_polynomial(d, h, seed):
 def test_k_stacks_are_the_generator_at_each_stage_time(model, b, tr, t0, spans, n,
                                                         dense_k_fix, seed):
     """The window's K builder on random drives, over window intervals from t0
-    to t0 + tr: every step start a + j h (the last one b itself) and every
-    midpoint a + (j + 1/2) h of the K stack equals -1j (H(t) - shift I) +
-    k_fix within 1e-14 relative, with H = RampHamiltonian.__call__ at that
-    stage time, shift its mean diagonal at a + n h / 2, and k_fix zero or a
-    random dense matrix."""
+    to t0 + tr: every K of its K1, K2 and K4 views, at the step starts
+    a + j h, the midpoints a + (j + 1/2) h and the step ends (the last one b
+    itself), equals -1j (H(t) - shift I) + k_fix within 1e-14 relative, with
+    H = RampHamiltonian.__call__ at that stage time, shift its mean diagonal
+    at a + n h / 2, and k_fix zero or a random dense matrix."""
     ham = RampHamiltonian(model, FluxDrive(B=b, t0=t0, tr=tr))
     rng = np.random.default_rng(seed)
     d = model.dim
@@ -151,17 +151,18 @@ def test_k_stacks_are_the_generator_at_each_stage_time(model, b, tr, t0, spans, 
     knots = t0 + tr * np.cumsum([0.0] + spans) / sum(spans)
     knots[-1] = t0 + tr
     a, b = knots[:-1], knots[1:]
-    for k, (shift, ks) in enumerate(dynamics._k_stacks(ham, k_fix, a, b, n)):
+    for k, (shift, k1, k2, k4) in enumerate(dynamics._k_stacks(ham, k_fix, a, b, n)):
         h = (b[k] - a[k]) / n
         starts = a[k] + h * np.arange(n + 1)
         starts[-1] = b[k]
-        stage = np.concatenate([starts, a[k] + h * (np.arange(n) + 0.5)])
         h_mid = ham(a[k] + 0.5 * n * h)
         assert abs(shift - np.trace(h_mid).real / d) <= 1e-14 * np.abs(h_mid).max()
-        want = -1j * (ham(stage) - shift * np.eye(d)) + k_fix
-        assert ks.shape == want.shape
-        for got_k, want_k in zip(ks, want):
-            assert np.linalg.norm(got_k - want_k) <= 1e-14 * np.linalg.norm(want_k)
+        for ks, stage in ((k1, starts[:-1]), (k2, a[k] + h * (np.arange(n) + 0.5)),
+                          (k4, starts[1:])):
+            want = -1j * (ham(stage) - shift * np.eye(d)) + k_fix
+            assert ks.shape == want.shape
+            for got_k, want_k in zip(ks, want):
+                assert np.linalg.norm(got_k - want_k) <= 1e-14 * np.linalg.norm(want_k)
 
 
 def _scalar_schedule(drive, t):

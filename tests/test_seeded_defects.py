@@ -4,10 +4,14 @@ check that still passes with the defect in place cannot catch it, and so does
 not test what it claims to. A Hypothesis property runs its body on one example
 here, without the search and shrinking of a failing run."""
 import inspect
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import test_circuit
+import test_cli
 import test_dynamics
 import test_experiments
 import test_properties
@@ -53,12 +57,47 @@ def _no_constant_piece(monkeypatch):
     real = dynamics._k_stacks
 
     def stacks(hamiltonian, k_fix, a, b, n):
-        for shift, ks in real(hamiltonian, k_fix, a, b, n):
+        for shift, k1, k2, k4 in real(hamiltonian, k_fix, a, b, n):
             if not hamiltonian.static_on(a[:1], b[:1])[0]:  # a window pass
-                ks -= k_fix + 1j * shift * np.eye(len(k_fix))
-            yield shift, ks
+                for ks in (k1, k2, k4[-1:]):  # each stage time once: K4 shares K1's rows
+                    ks -= k_fix + 1j * shift * np.eye(len(k_fix))
+            yield shift, k1, k2, k4
 
     monkeypatch.setattr(dynamics, "_k_stacks", stacks)
+
+
+def _swapped_bath_weights(monkeypatch):
+    """Each bath's decay and excitation operators trade weights: sqrt(gamma M) a
+    and sqrt(gamma (M + 1)) a†."""
+    def collapse_set(baths, a_e, a_s):
+        m = baths.mean_occupation
+        return [math.sqrt(gamma * weight) * op
+                for gamma, a in ((baths.gamma_e, a_e), (baths.gamma_s, a_s)) if gamma > 0
+                for weight, op in ((m, a), (m + 1.0, a.conj().T))]
+
+    monkeypatch.setattr(dynamics, "_collapse_set", collapse_set)
+
+
+def _negated_charge_piece(monkeypatch):
+    """RampHamiltonian's charge piece -drive_scale i (a_s† - a_s), the drive
+    rate's term, with the opposite sign."""
+    real = circuit.RampHamiltonian.__init__
+
+    def init(self, model, drive):
+        real(self, model, drive)
+        self.pieces[3] *= -1
+
+    monkeypatch.setattr(circuit.RampHamiltonian, "__init__", init)
+
+
+def _window_without_settle(monkeypatch):
+    """The window's stage loop returns rho as stepped; frozen passes still settle it."""
+    real = dynamics._window
+
+    def window(eq, *args):
+        return real(SimpleNamespace(apply=eq.apply, settle=lambda y: y), *args)
+
+    monkeypatch.setattr(dynamics, "_window", window)
 
 
 DEFECTS = {
@@ -92,6 +131,18 @@ DEFECTS = {
         (test_properties.test_static_averages_twin_symmetry.hypothesis.inner_test,
          {"cs_scale": 1.0, "lambda_scale": 1.0, "mu_es": 0.01, "fluxes": [0.42864]}),
     ]),
+    "bath decay and excitation weights swapped": (_swapped_bath_weights, [
+        (test_dynamics.test_lindblad_thermal_fixed_point, {}),
+        (test_dynamics.test_lindblad_damped_relaxation_analytic, {}),
+    ]),
+    "charge piece negated": (_negated_charge_piece, [  # both restate the code's own sign
+        (test_circuit.test_ramp_hamiltonian_matches_direct_build, {}),
+        (test_cli.test_default_ramp_matches_the_benchmark_reference, {}),
+    ]),
+    "window stage loop without settle": (_window_without_settle, [
+        (test_dynamics.test_damped_ramp_emits_exactly_hermitian_states, {}),
+        (test_dynamics.test_window_runs_the_stage_loop_for_a_small_rho, {}),
+    ]),
     "window K without its constant piece": (_no_constant_piece, [
         (test_properties.test_k_stacks_are_the_generator_at_each_stage_time.hypothesis
          .inner_test, {"b": 0.38, "tr": 16.6, "t0": 326.0, "spans": [1.0, 1.0], "n": 3,
@@ -104,11 +155,12 @@ DEFECTS = {
 
 
 @pytest.mark.parametrize("defect, checks", DEFECTS.values(), ids=DEFECTS.keys())
-def test_seeded_defect_fails_its_checks(defect, checks, model, monkeypatch):
+def test_seeded_defect_fails_its_checks(defect, checks, model, tmp_path, monkeypatch):
     defect(monkeypatch)
+    fixtures = {"model": model, "tmp_path": tmp_path}
     for check, kwargs in checks:
-        if "model" in inspect.signature(check).parameters:
-            kwargs = {**kwargs, "model": model}
+        params = inspect.signature(check).parameters
+        kwargs = {**kwargs, **{k: v for k, v in fixtures.items() if k in params}}
         try:
             check(**kwargs)
         except (AssertionError, pytest.fail.Exception):
