@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import get_args, get_origin, get_type_hints
 
@@ -96,7 +96,16 @@ def check_types(block) -> None:
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """SI circuit values. Derived frequencies/groups are exposed as properties."""
+    """SI circuit values. Derived frequencies and the dimensionless groups that
+    enter the hbar*omega_s-unit Hamiltonians are exposed as properties:
+
+    lambda_s : the ring's zero-point flux angle, (2 pi/Phi0) sqrt(hbar/(2 omega_s Cs))
+    nu_tilde : nu/omega_s, weight of the cosine term
+    kappa    : coupling prefactor multiplying (ae+ae†)(as+as†)
+    drive_scale : multiplies the flux ramp rate (Phi0*omega_s units) to give
+                  the -Qs dPhix/dt term in hbar*omega_s per unit charge quadrature
+    omega_ratio : omega_e/omega_s
+    """
 
     Cs: float = DEFAULT_CS
     Lambda_s: float = DEFAULT_LAMBDA_S
@@ -121,10 +130,10 @@ class CircuitParams:
         if not 0 <= self.mu_es < 1:
             raise ValueError("CircuitParams.mu_es must lie in [0, 1)")
         try:  # the model is built from these, so each must be finite
-            groups = asdict(DimensionlessGroups.from_params(self))
+            bad = [name for name in ("lambda_s", "nu_tilde", "kappa", "drive_scale",
+                                     "omega_ratio") if not math.isfinite(getattr(self, name))]
         except ArithmeticError as exc:
             raise ValueError(f"CircuitParams values give no dimensionless groups: {exc}") from None
-        bad = [name for name, value in groups.items() if not math.isfinite(value)]
         if bad:
             raise ValueError(f"CircuitParams values make the dimensionless group(s) "
                              f"{', '.join(bad)} non-finite")
@@ -142,48 +151,28 @@ class CircuitParams:
         """Josephson angular frequency nu = hbar_nu / hbar (rad/s)."""
         return self.hbar_nu / HBAR
 
+    @property
+    def lambda_s(self) -> float:
+        return (2 * math.pi / PHI0) * math.sqrt(HBAR / (2 * self.omega_s * self.Cs))
 
-@dataclass(frozen=True)
-class DimensionlessGroups:
-    """Dimensionless combinations entering the hbar*omega_s-unit Hamiltonians.
+    @property
+    def nu_tilde(self) -> float:
+        return self.nu / self.omega_s
 
-    lambda_i : zero-point flux angle, (2 pi/Phi0) sqrt(hbar/(2 omega_i C_i))
-    nu_tilde : nu/omega_s, weight of the cosine term
-    kappa    : coupling prefactor multiplying (ae+ae†)(as+as†)
-    eta_s    : ring charge zero point sqrt(hbar omega_s Cs / 2), in C
-    drive_scale : multiplies the flux ramp rate (Phi0*omega_s units) to give
-                  the -Qs dPhix/dt term in hbar*omega_s per unit charge quadrature
-    """
-
-    lambda_s: float
-    lambda_e: float
-    nu_tilde: float
-    kappa: float
-    eta_s: float
-    drive_scale: float
-    omega_ratio: float  # omega_e / omega_s
-
-    @classmethod
-    def from_params(cls, p: CircuitParams) -> "DimensionlessGroups":
-        lam_s = (2 * math.pi / PHI0) * math.sqrt(HBAR / (2 * p.omega_s * p.Cs))
-        lam_e = (2 * math.pi / PHI0) * math.sqrt(HBAR / (2 * p.omega_e * p.Ce))
-        eta_s = math.sqrt(HBAR * p.omega_s * p.Cs / 2)
+    @property
+    def kappa(self) -> float:
         # (mu_es/Lambda_s) <Phis><Phie> zero-point product over hbar omega_s
-        kappa = (
-            p.mu_es
-            / (2 * p.Lambda_s * p.omega_s)
-            / math.sqrt(p.omega_s * p.Cs * p.omega_e * p.Ce)
-        )
-        drive_scale = eta_s * PHI0 / HBAR  # equals pi/lambda_s
-        return cls(
-            lambda_s=lam_s,
-            lambda_e=lam_e,
-            nu_tilde=p.nu / p.omega_s,
-            kappa=kappa,
-            eta_s=eta_s,
-            drive_scale=drive_scale,
-            omega_ratio=p.omega_e / p.omega_s,
-        )
+        return (self.mu_es / (2 * self.Lambda_s * self.omega_s)
+                / math.sqrt(self.omega_s * self.Cs * self.omega_e * self.Ce))
+
+    @property
+    def drive_scale(self) -> float:
+        # the ring's charge zero point sqrt(hbar omega_s Cs / 2) times Phi0/hbar: pi/lambda_s
+        return math.sqrt(HBAR * self.omega_s * self.Cs / 2) * PHI0 / HBAR
+
+    @property
+    def omega_ratio(self) -> float:
+        return self.omega_e / self.omega_s
 
 
 @dataclass(frozen=True)
@@ -292,26 +281,26 @@ def _combine(coefficients: np.ndarray, pieces: np.ndarray) -> np.ndarray:
         coefficients.shape[:-1] + pieces.shape[-2:])
 
 
-def ring_pieces(ops: RingOperators, groups: DimensionlessGroups) -> np.ndarray:
+def ring_pieces(ops: RingOperators, params: CircuitParams) -> np.ndarray:
     """The static ring Hamiltonian's flux-independent pieces, stacked as
     (..., 3, dim, dim): harmonic, -nu cos_phi, nu sin_phi. The cosine of the
     shifted flux is expanded so that the operator-valued trig functions are the
     precomputed cos_phi/sin_phi."""
-    return np.stack([ops.harmonic, -groups.nu_tilde * ops.cos_phi,
-                     groups.nu_tilde * ops.sin_phi], axis=-3)
+    return np.stack([ops.harmonic, -params.nu_tilde * ops.cos_phi,
+                     params.nu_tilde * ops.sin_phi], axis=-3)
 
 
-def build_hs(ops: RingOperators, groups: DimensionlessGroups,
+def build_hs(ops: RingOperators, params: CircuitParams,
              phi_x: float | np.ndarray) -> np.ndarray:
     """Static ring Hamiltonian (dPhix/dt = 0) in hbar*omega_s units, in whatever
     basis `ops` uses; an array of fluxes gives a stack, one Hamiltonian per flux
     (and per entry of stacked `ops`)."""
-    return _combine(drive_coefficients(phi_x), ring_pieces(ops, groups))
+    return _combine(drive_coefficients(phi_x), ring_pieces(ops, params))
 
 
-def build_he(de: int, groups: DimensionlessGroups) -> np.ndarray:
+def build_he(de: int, params: CircuitParams) -> np.ndarray:
     """Field Hamiltonian (hbar*omega_s units): (omega_e/omega_s)(n + 1/2)."""
-    return groups.omega_ratio * np.diag(np.arange(de) + 0.5)
+    return params.omega_ratio * np.diag(np.arange(de) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -325,24 +314,24 @@ class TruncatedModel:
     """
 
     params: CircuitParams
-    groups: DimensionlessGroups
     de: int
     ds: int
     pre_dim: int
-    ring_ref_flux: float
     ring: RingOperators
     ring_energies: np.ndarray          # lowest ds eigenvalues at the ref flux
     ring_transform: np.ndarray         # pre_dim x ds isometry
-    field_a: np.ndarray = field(repr=False, default=None)
-    field_h: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
         return self.de * self.ds
 
     @cached_property
+    def field_h(self) -> np.ndarray:
+        return build_he(self.de, self.params)
+
+    @cached_property
     def _ring_pieces(self) -> np.ndarray:
-        return ring_pieces(self.ring, self.groups)
+        return ring_pieces(self.ring, self.params)
 
     def ring_hamiltonian(self, phi_x: float | np.ndarray) -> np.ndarray:
         """build_hs on the truncated ring, from pieces built once per model; an
@@ -357,9 +346,21 @@ class TruncatedModel:
         """Bare LC ladder operators on the product space: (a_e, a_s)."""
         t = self.ring_transform
         return (
-            np.kron(self.field_a, np.eye(self.ds)),
+            np.kron(ladder(self.de), np.eye(self.ds)),
             np.kron(np.eye(self.de), t.conj().T @ ladder(self.pre_dim) @ t),
         )
+
+
+def check_truncation(params: CircuitParams, pre_dim: int, phi_x: float | np.ndarray,
+                     w: np.ndarray, tol: float = 1e-6) -> None:
+    """Raise ConvergenceError unless the retained ring eigenvalues w from the pre_dim
+    Fock basis, a row per flux of phi_x, agree to tol (hbar*omega_s) with the doubled
+    basis's."""
+    w2 = np.linalg.eigvalsh(build_hs(fock_ring_ops(2 * pre_dim, params.lambda_s), params, phi_x))
+    shift = np.max(np.abs(w - w2[..., :w.shape[-1]]))
+    if shift > tol:
+        raise ConvergenceError(f"ring eigenvalues move by {shift:.2e} hbar*omega_s when pre_dim "
+                               f"doubles from {pre_dim}; increase pre_dim")
 
 
 def truncate_to_eigenbasis(
@@ -369,42 +370,19 @@ def truncate_to_eigenbasis(
     de: int = DEFAULT_DE,
     ds: int = DEFAULT_DS,
     check_convergence: bool = True,
-    convergence_tol: float = 1e-6,
 ) -> TruncatedModel:
-    """Project the ring onto its `ds` lowest eigenstates at the reference flux.
-
-    With check_convergence the retained ring eigenvalues are compared against a
-    doubled pre-truncation basis and must agree to convergence_tol (hbar*omega_s).
-    """
-    groups = DimensionlessGroups.from_params(params)
-    ops = fock_ring_ops(pre_dim, groups.lambda_s)
-    w, v = np.linalg.eigh(build_hs(ops, groups, ring_ref_flux))
+    """Project the ring onto its `ds` lowest eigenstates at the reference flux;
+    with check_convergence, check_truncation must pass there."""
+    ops = fock_ring_ops(pre_dim, params.lambda_s)
+    w, v = np.linalg.eigh(build_hs(ops, params, ring_ref_flux))
     if check_convergence:
-        ops2 = fock_ring_ops(2 * pre_dim, groups.lambda_s)
-        w2 = np.linalg.eigvalsh(build_hs(ops2, groups, ring_ref_flux))
-        shift = np.max(np.abs(w[:ds] - w2[:ds]))
-        if shift > convergence_tol:
-            raise ConvergenceError(
-                f"ring eigenvalues move by {shift:.2e} hbar*omega_s when pre_dim "
-                f"doubles from {pre_dim}; increase pre_dim"
-            )
+        check_truncation(params, pre_dim, ring_ref_flux, w[:ds])
     t = v[:, :ds]
-    return TruncatedModel(
-        params=params,
-        groups=groups,
-        de=de,
-        ds=ds,
-        pre_dim=pre_dim,
-        ring_ref_flux=ring_ref_flux,
-        ring=ops.transformed(t),
-        ring_energies=w[:ds].copy(),
-        ring_transform=t,
-        field_a=ladder(de),
-        field_h=build_he(de, groups),
-    )
+    return TruncatedModel(params=params, de=de, ds=ds, pre_dim=pre_dim, ring=ops.transformed(t),
+                          ring_energies=w[:ds].copy(), ring_transform=t)
 
 
-def drive_terms(ring: RingOperators, groups: DimensionlessGroups, de: int) -> np.ndarray:
+def drive_terms(ring: RingOperators, params: CircuitParams, de: int) -> np.ndarray:
     """The static total Hamiltonian's flux-independent pieces, stacked as
     (..., 3, dim, dim), so that H = _combine(drive_coefficients(phi_x), pieces):
     the ring_pieces on the product space of `de` field levels and the ring in the
@@ -413,10 +391,10 @@ def drive_terms(ring: RingOperators, groups: DimensionlessGroups, de: int) -> np
     a = ladder(de)
     ie = np.eye(de)
     # every piece is a field (x) ring product; the last two are folded into piece 0
-    field = np.stack([ie, ie, ie, build_he(de, groups), a + a.conj().T])
+    field = np.stack([ie, ie, ie, build_he(de, params), a + a.conj().T])
     eye_s = np.broadcast_to(np.eye(ring.flux.shape[-1]), ring.flux.shape)
-    rings = np.concatenate([ring_pieces(ring, groups),
-                            np.stack([eye_s, -groups.kappa * ring.flux], axis=-3)], axis=-3)
+    rings = np.concatenate([ring_pieces(ring, params),
+                            np.stack([eye_s, -params.kappa * ring.flux], axis=-3)], axis=-3)
     dim = de * rings.shape[-1]
     p = np.einsum("kij,...kab->...kiajb", field, rings).reshape(*rings.shape[:-2], dim, dim)
     p[..., 0, :, :] += p[..., 3, :, :] + p[..., 4, :, :]
@@ -425,7 +403,7 @@ def drive_terms(ring: RingOperators, groups: DimensionlessGroups, de: int) -> np
 
 def build_total(model: TruncatedModel, phi_x: float) -> np.ndarray:
     """Static total H = He + Hs - Hes on the product space, hbar*omega_s units."""
-    return _combine(drive_coefficients(phi_x), drive_terms(model.ring, model.groups, model.de))
+    return _combine(drive_coefficients(phi_x), drive_terms(model.ring, model.params, model.de))
 
 
 class RampHamiltonian:
@@ -441,8 +419,8 @@ class RampHamiltonian:
     def __init__(self, model: TruncatedModel, drive: FluxDrive):
         self.drive = drive
         a_s = model.collapse_operators()[1]  # the ring's bare ladder operator
-        charge_piece = -model.groups.drive_scale * 1j * (a_s.conj().T - a_s)
-        self.pieces = np.concatenate([drive_terms(model.ring, model.groups, model.de),
+        charge_piece = -model.params.drive_scale * 1j * (a_s.conj().T - a_s)
+        self.pieces = np.concatenate([drive_terms(model.ring, model.params, model.de),
                                       [charge_piece]])
 
     @property

@@ -135,9 +135,9 @@ def _run_validate(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 
     # twin symmetry holds for the full ring spectrum, so check it in the
     # pre-truncation basis (the truncated basis is tied to one flux point)
-    full = fock_ring_ops(model.pre_dim, model.groups.lambda_s)
-    w1 = np.linalg.eigvalsh(build_hs(full, model.groups, drive.A))[: model.ds]
-    w2 = np.linalg.eigvalsh(build_hs(full, model.groups, 1.0 - drive.A))[: model.ds]
+    full = fock_ring_ops(model.pre_dim, model.params.lambda_s)
+    w1 = np.linalg.eigvalsh(build_hs(full, model.params, drive.A))[: model.ds]
+    w2 = np.linalg.eigvalsh(build_hs(full, model.params, 1.0 - drive.A))[: model.ds]
     checks.append(("ring spectral twin symmetry", bool(np.max(np.abs(w1 - w2)) < 1e-9)))
 
     dev = np.max(np.abs(full.cos_phi @ full.cos_phi

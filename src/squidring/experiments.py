@@ -19,13 +19,13 @@ from .circuit import (
     DEFAULT_DS,
     DEFAULT_PRE_DIM,
     CircuitParams,
-    DimensionlessGroups,
     FluxDrive,
     RampHamiltonian,
     TruncatedModel,
     _combine,
     build_he,
     build_total,
+    check_truncation,
     check_types,
     drive_coefficients,
     fock_ring_ops,
@@ -187,9 +187,9 @@ def default_model(
 class StaticAverages:
     """Exact time averages at fixed bias fluxes, for one sweep's circuit and grid.
 
-    Everything that does not depend on the flux is built once: the
-    dimensionless groups, the pre_dim Fock ring operators and their pieces, the
-    field coupling, the diagonal of He on the product space and the sample
+    Everything that does not depend on the flux is built once from params: the
+    pre_dim Fock ring operators and their pieces, the field coupling, the
+    diagonal of He on the product space and the sample
     grid. At each flux the ring is re-diagonalized, so INITIAL_LABEL is local,
     and H is assembled in that ring eigenbasis, where Hs is diagonal. The
     averages are time_averaged_energy's trapezoid rule on the sample grid of
@@ -200,12 +200,12 @@ class StaticAverages:
 
     def __init__(self, params: CircuitParams, tau: float, sample_dt: float,
                  de: int, ds: int, pre_dim: int):
-        self.groups = DimensionlessGroups.from_params(params)
+        self.params = params
         self.de, self.ds = de, ds
-        self.ops = fock_ring_ops(pre_dim, self.groups.lambda_s)
-        self.pieces = ring_pieces(self.ops, self.groups)
-        self.coupling = -self.groups.kappa * (ladder(de) + ladder(de).T)  # -Hes = this (x) flux
-        self.h_e = np.repeat(np.diag(build_he(de, self.groups)), ds)  # He (x) I, diagonal
+        self.ops = fock_ring_ops(pre_dim, params.lambda_s)
+        self.pieces = ring_pieces(self.ops, params)
+        self.coupling = -params.kappa * (ladder(de) + ladder(de).T)  # -Hes = this (x) flux
+        self.h_e = np.repeat(np.diag(build_he(de, params)), ds)  # He (x) I, diagonal
         self.times = np.linspace(0.0, tau, max(3, grid_intervals(tau, sample_dt) + 1))
         self._field: dict[float, float] = {}  # <<He>> per flux asked for one at a time
 
@@ -438,9 +438,13 @@ def run_sweep(
     H_s(1 - phi) is parity times H_s(phi) times parity, so the averages and flags
     at twin fluxes are equal: on a grid symmetric about 1/2 only its lower half
     (with the middle) is solved and the upper half is that half reversed."""
-    static = StaticAverages(params or CircuitParams(), cfg.tau, cfg.sample_dt, de, ds, pre_dim)
+    params = params or CircuitParams()
+    static = StaticAverages(params, cfg.tau, cfg.sample_dt, de, ds, pre_dim)
     grid = cfg.grid
     n = len(grid)
+    ends = grid[[0, n // 2, -1]]  # the fluxes where the ring truncation is checked
+    w = np.linalg.eigvalsh(_combine(drive_coefficients(ends), static.pieces))
+    check_truncation(params, pre_dim, ends, w[:, :ds])
     symmetric = np.abs(grid + grid[::-1] - 1.0).max() <= 4 * np.finfo(float).eps
     solved = grid[:(n + 1) // 2] if symmetric else grid
     blocks = [static.averages(solved[i:i + SWEEP_BLOCK])
@@ -449,7 +453,7 @@ def run_sweep(
                                     for c in map(np.concatenate, zip(*blocks)))
     records = {"phi_x": grid, "avg_E_e": avg_e, "avg_E_s": avg_s, "converged": conv_e & conv_s}
     ne, _ = INITIAL_LABEL
-    baseline = (ne + 0.5) * static.groups.omega_ratio
+    baseline = (ne + 0.5) * params.omega_ratio
     regions = _detect_regions(cfg, grid, avg_e, baseline, static.field_average)
     return SweepResult(records=records, regions=regions, baseline=baseline)
 

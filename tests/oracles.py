@@ -90,14 +90,14 @@ class ComplexStaticAverages(StaticAverages):
         super().__init__(params, tau, sample_dt, de, ds, pre_dim)
         self.ops = RingOperators(**{name: op.astype(complex)
                                     for name, op in vars(self.ops).items()})
-        self.pieces = ring_pieces(self.ops, self.groups)
-        self.h_e = np.kron(build_he(de, self.groups), np.eye(ds)).astype(complex)
+        self.pieces = ring_pieces(self.ops, self.params)
+        self.h_e = np.kron(build_he(de, self.params), np.eye(ds)).astype(complex)
 
     def _spectrum(self, phi):
         coefficients = drive_coefficients(phi)
         _, v = np.linalg.eigh(_combine(coefficients, self.pieces))
         ring = self.ops.transformed(v[..., :self.ds])
-        w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, self.groups, self.de)))
+        w, v = np.linalg.eigh(_combine(coefficients, drive_terms(ring, self.params, self.de)))
         return ring, w, v
 
     def _amplitudes(self, v, ops):
@@ -108,7 +108,7 @@ class ComplexStaticAverages(StaticAverages):
 
     def averages(self, phi):
         ring, w, v = self._spectrum(phi)
-        h_s = np.kron(np.eye(self.de), build_hs(ring, self.groups, phi))
+        h_s = np.kron(np.eye(self.de), build_hs(ring, self.params, phi))
         ops_es = np.stack([np.broadcast_to(self.h_e, h_s.shape), h_s], axis=-3)
         avg, converged = closed_form_time_average(self.times, w[..., None, :],
                                                   self._amplitudes(v, ops_es))
@@ -121,7 +121,7 @@ def complex_sweep(cfg: SweepConfig) -> tuple:
     stack, with no twin mirror, and the regions refined on ComplexStaticAverages."""
     static = ComplexStaticAverages(CircuitParams(), cfg.tau, cfg.sample_dt, 4, 4, 40)
     avg_e, avg_s, conv_e, conv_s = static.averages(cfg.grid)
-    baseline = (INITIAL_LABEL[0] + 0.5) * static.groups.omega_ratio
+    baseline = (INITIAL_LABEL[0] + 0.5) * static.params.omega_ratio
     regions = _detect_regions(cfg, cfg.grid, avg_e, baseline, static.field_average)
     return avg_e, avg_s, conv_e & conv_s, regions
 

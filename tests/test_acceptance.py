@@ -12,7 +12,6 @@ from scipy.linalg import expm
 import squidring as sq
 from squidring.circuit import (
     CircuitParams,
-    DimensionlessGroups,
     FluxDrive,
     build_hs,
     build_total,
@@ -97,10 +96,10 @@ def test_criterion_8_property_suite(model, ramp_result):
             break
 
     # ring spectral twin symmetry about half a flux quantum
-    g = DimensionlessGroups.from_params(CircuitParams())
-    ops = fock_ring_ops(40, g.lambda_s)
-    w1 = np.linalg.eigvalsh(build_hs(ops, g, BIAS))[:6]
-    w2 = np.linalg.eigvalsh(build_hs(ops, g, 1.0 - BIAS))[:6]
+    p = CircuitParams()
+    ops = fock_ring_ops(40, p.lambda_s)
+    w1 = np.linalg.eigvalsh(build_hs(ops, p, BIAS))[:6]
+    w2 = np.linalg.eigvalsh(build_hs(ops, p, 1.0 - BIAS))[:6]
     if np.max(np.abs(w1 - w2)) >= 1e-9:
         failures.append("twin symmetry")
 

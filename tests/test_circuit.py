@@ -16,7 +16,6 @@ from squidring.circuit import (
     PHI0,
     CircuitParams,
     ConvergenceError,
-    DimensionlessGroups,
     FluxDrive,
     RampHamiltonian,
     build_hs,
@@ -58,20 +57,18 @@ def test_circuit_params_defaults_and_validation():
 
 
 def test_dimensionless_groups():
-    g = DimensionlessGroups.from_params(CircuitParams())
-    assert abs(g.lambda_s - LAMBDA_S) < 1e-12
-    assert abs(g.lambda_e - LAMBDA_S) < 1e-12
-    assert abs(g.nu_tilde - NU_TILDE) < 1e-12
-    assert abs(g.kappa - KAPPA) < 1e-15
-    assert abs(g.omega_ratio - 1.0) < 1e-15
-    assert abs(g.drive_scale - math.pi / g.lambda_s) < 1e-12
-    assert abs(g.eta_s - math.sqrt(HBAR * OMEGA_S * 1e-16 / 2)) < 1e-30
+    p = CircuitParams()
+    assert abs(p.lambda_s - LAMBDA_S) < 1e-12
+    assert abs(p.nu_tilde - NU_TILDE) < 1e-12
+    assert abs(p.kappa - KAPPA) < 1e-15
+    assert abs(p.omega_ratio - 1.0) < 1e-15
+    assert abs(p.drive_scale - math.pi / p.lambda_s) < 1e-12
 
 
 def test_detuned_field_changes_ratio_only():
-    g = DimensionlessGroups.from_params(CircuitParams(Ce=4e-16))
-    assert abs(g.omega_ratio - 0.5) < 1e-12
-    assert abs(g.lambda_s - LAMBDA_S) < 1e-12
+    p = CircuitParams(Ce=4e-16)
+    assert abs(p.omega_ratio - 0.5) < 1e-12
+    assert abs(p.lambda_s - LAMBDA_S) < 1e-12
 
 
 def test_flux_drive_schedule():
@@ -115,23 +112,23 @@ def test_ring_spectrum_frozen(model):
     np.testing.assert_allclose(model.ring_energies, RING_ENERGIES, atol=1e-9)
     # first ring transition resonant with one field quantum at the bias point
     gap = model.ring_energies[1] - model.ring_energies[0]
-    assert abs(gap - model.groups.omega_ratio) < 1e-9
+    assert abs(gap - model.params.omega_ratio) < 1e-9
 
 
 def test_ring_twin_symmetry():
     """The ring spectrum is symmetric about half a flux quantum."""
-    g = DimensionlessGroups.from_params(CircuitParams())
-    ops = fock_ring_ops(40, g.lambda_s)
+    p = CircuitParams()
+    ops = fock_ring_ops(40, p.lambda_s)
     for phi in (0.30, 0.42864, 0.49):
-        w1 = np.linalg.eigvalsh(build_hs(ops, g, phi))[:6]
-        w2 = np.linalg.eigvalsh(build_hs(ops, g, 1.0 - phi))[:6]
+        w1 = np.linalg.eigvalsh(build_hs(ops, p, phi))[:6]
+        w2 = np.linalg.eigvalsh(build_hs(ops, p, 1.0 - phi))[:6]
         np.testing.assert_allclose(w1, w2, atol=1e-9)
 
 
 def test_operator_trig_under_truncation(model):
     # exact identity in the pre-truncation Fock basis
-    g = model.groups
-    full = fock_ring_ops(model.pre_dim, g.lambda_s)
+    p = model.params
+    full = fock_ring_ops(model.pre_dim, p.lambda_s)
     dev = np.max(np.abs(full.cos_phi @ full.cos_phi
                         + full.sin_phi @ full.sin_phi - np.eye(model.pre_dim)))
     assert dev < 1e-10
@@ -167,23 +164,23 @@ def test_truncation_convergence_guard():
 def test_ring_hamiltonian_terms():
     """build_hs is the static Hs = harmonic - nu cos(lambda_s x + 2 pi phi_x), with
     the shifted cosine taken directly, not through the cos_phi/sin_phi expansion."""
-    g = DimensionlessGroups.from_params(CircuitParams())
-    ops = fock_ring_ops(40, g.lambda_s)
+    p = CircuitParams()
+    ops = fock_ring_ops(40, p.lambda_s)
     phi = 0.42864
-    cos_shifted = herm_func(g.lambda_s * ops.flux + 2 * math.pi * phi * np.eye(40), np.cos)
-    expected = ops.harmonic - g.nu_tilde * cos_shifted
-    np.testing.assert_allclose(build_hs(ops, g, phi), expected, atol=1e-10)
+    cos_shifted = herm_func(p.lambda_s * ops.flux + 2 * math.pi * phi * np.eye(40), np.cos)
+    expected = ops.harmonic - p.nu_tilde * cos_shifted
+    np.testing.assert_allclose(build_hs(ops, p, phi), expected, atol=1e-10)
 
 
 def test_static_pieces_are_real(model):
     """With dPhix/dt = 0 every piece of H is real symmetric: the Fock and the
     truncated ring operators, the ring pieces and the total H's pieces are
     float64, and so are the static Hs and H built from them."""
-    g = model.groups
-    for ops in (fock_ring_ops(40, g.lambda_s), model.ring):
+    p = model.params
+    for ops in (fock_ring_ops(40, p.lambda_s), model.ring):
         assert {op.dtype for op in vars(ops).values()} == {np.dtype(float)}
-        assert circuit.ring_pieces(ops, g).dtype == np.float64
-    assert circuit.drive_terms(model.ring, g, model.de).dtype == np.float64
+        assert circuit.ring_pieces(ops, p).dtype == np.float64
+    assert circuit.drive_terms(model.ring, p, model.de).dtype == np.float64
     assert build_total(model, 0.42864).dtype == np.float64
     assert model.ring_hamiltonian(np.array([0.3, 0.5])).dtype == np.float64
 
@@ -198,9 +195,9 @@ def test_total_hamiltonian_structure(model):
         np.kron(model.field_h, np.eye(4))
         + np.kron(np.eye(4), model.ring_hamiltonian(0.42864))
     )
-    xe = model.field_a + model.field_a.conj().T
+    xe = ladder(model.de) + ladder(model.de).T
     np.testing.assert_allclose(
-        coupling, -model.groups.kappa * np.kron(xe, model.ring.flux), atol=1e-12
+        coupling, -model.params.kappa * np.kron(xe, model.ring.flux), atol=1e-12
     )
 
 
@@ -215,7 +212,7 @@ def test_ramp_hamiltonian_matches_direct_build(model):
     for t in (0.0, 5.0, 11.0, 12.7, 14.0 + 1e-9, 30.0):
         h = ham(t)
         expected = (build_total(model, drive.value(t))
-                    + drive.rate(t) * -model.groups.drive_scale * charge)
+                    + drive.rate(t) * -model.params.drive_scale * charge)
         assert np.max(np.abs(h - expected)) <= 1e-15
         assert is_hermitian(h, tol=1e-15)
     assert ham.static_on(0.0, 10.0)

@@ -349,6 +349,25 @@ def test_non_finite_sweep_average_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_unconverged_ring_truncation_exits_3(tmp_path):
+    """A Fock basis too small for the retained ring states fails every command
+    with exit 3, a diagnostic and no data file. The sweep checks it at the
+    grid's first, middle and last flux: 8 and 20 states move the ring energies
+    by 4.9e-2 and 4.5e-6 there when doubled, beyond 1e-6; 24 and the default 40
+    states pass."""
+    short_sweep = ["--set", "sweep.points=5", "--set", "sweep.tau=200"]
+    runs = [(command, 8, 3) for command in ("ramp", "dissipative", "validate")]
+    runs += [("sweep", 8, 3), ("sweep", 20, 3), ("sweep", 24, 0), ("sweep", None, 0)]
+    for command, pre_dim, code in runs:
+        out = tmp_path / f"{command}{pre_dim}"
+        size = [] if pre_dim is None else ["--set", f"truncation.pre_dim={pre_dim}"]
+        assert main([command, "--out", str(out)] + short_sweep + size) == code, (command, pre_dim)
+        assert bool(list(out.glob("*.csv"))) == (code == 0)
+        if code:
+            assert "ConvergenceError: ring eigenvalues move by" in (
+                out / "diagnostic.txt").read_text()
+
+
 def test_cold_bath_runs(tmp_path):
     """At 10 mK hbar omega_b / kB Tb is about 4,400, beyond exp's float range:
     the thermal occupation is 0, and the run writes its data files."""

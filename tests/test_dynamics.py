@@ -31,8 +31,9 @@ from squidring.dynamics import (
     _knots,
     thermal_occupation,
 )
-from squidring.experiments import RampConfig, run_ramp
+from squidring.experiments import RampConfig, default_model, run_ramp
 from squidring.linalg import PositivityError, hermitize
+from squidring.observables import labeled_basis
 
 from oracles import StaticHamiltonian, ivp_evolution
 
@@ -458,6 +459,25 @@ def test_rk4_lindblad_matches_adaptive_oracle_through_ramp(model):
                       cops=dynamics._collapse_set(baths, *model.collapse_operators()))
     assert np.trace(b @ b).real < 0.8
     assert np.max(np.abs(a - b)) < 1e-4
+
+
+def test_sudden_ramp_conserves_the_total_flux():
+    """The drive's sign from the physics alone, not from the code's own pieces:
+    dPhis/dt = Qs/Cs - dPhix/dt, so across a ramp much shorter than 1/omega_s
+    the total flux Phis + Phix holds and <a_s + a_s†> jumps by
+    -2 pi (B - A)/lambda_s. From the labeled ground state at A on a 2 x 4 model,
+    a 0.01 omega_s^-1 ramp gives +0.3315 against +0.3328; with the charge term
+    negated it gives -0.3125."""
+    model = default_model(de=2, ds=4)
+    drive = FluxDrive(t0=0.5, tr=0.01)
+    psi0 = QuantumState.pure(labeled_basis(model, drive.A).state(0, 0), (model.de, model.ds))
+    traj = evolve_tdse(psi0, RampHamiltonian(model, drive), drive.t0 + drive.tr,
+                       config=IntegratorConfig(dt=1e-4), sample_dt=drive.tr)
+    x_s = np.kron(np.eye(model.de), model.ring.flux)
+    before, after = (psi.conj() @ x_s @ psi for psi in traj.data[-2:])
+    expected = -2 * math.pi * (drive.B - drive.A) / model.params.lambda_s
+    assert traj.times[-2:].tolist() == [drive.t0, drive.t0 + drive.tr]
+    assert abs((after - before).real / expected - 1) < 0.02
 
 
 def test_lindblad_zero_damping_equals_tdse(model):

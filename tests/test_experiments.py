@@ -85,7 +85,7 @@ def test_static_averages_match_time_grid(phi):
     ts = np.linspace(0.0, tau, 8001)
     psi_t = v @ (np.exp(-1j * np.outer(w, ts)) * (v.conj().T @ psi0)[:, None])
     want = []
-    for op in (np.kron(build_he(4, model.groups), np.eye(4)),
+    for op in (np.kron(build_he(4, model.params), np.eye(4)),
                np.kron(np.eye(4), model.ring_hamiltonian(phi))):
         energies = np.sum(psi_t.conj() * (op @ psi_t), axis=0).real
         want.append(time_averaged_energy(ts, energies))
@@ -110,7 +110,7 @@ def test_static_point_matches_integrator():
     basis = labeled_basis(model, phi)
     state = QuantumState.pure(basis.state(1, 0), (4, 4))
     traj = evolve_tdse(state, StaticHamiltonian(h), tau, sample_dt=dt)
-    he = np.kron(build_he(4, model.groups), np.eye(4))
+    he = np.kron(build_he(4, model.params), np.eye(4))
     e_e = np.array([(psi.conj() @ he @ psi).real for psi in traj.data])
     avg_num = np.trapezoid(e_e, traj.times) / tau
     assert abs(avg_num - avg_e) < 1e-6
@@ -379,7 +379,7 @@ def test_refinement_solves_each_flux_once(monkeypatch):
     monkeypatch.setattr(observables, "_trapezoid_phase_sums",
                         counted("phase sums", observables._trapezoid_phase_sums))
     pre_dim_ring = counted("pre_dim ring pieces", circuit.ring_pieces,
-                           lambda ops, groups: ops.flux.shape[-1] == 40)
+                           lambda ops, params: ops.flux.shape[-1] == 40)
     monkeypatch.setattr(circuit, "ring_pieces", pre_dim_ring)
     monkeypatch.setattr(experiments, "ring_pieces", pre_dim_ring)
     monkeypatch.setattr(experiments, "closed_form_average",

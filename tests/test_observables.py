@@ -51,7 +51,7 @@ def test_basis_states_are_energy_products(model, basis):
     e_s = component_energy(rho_s, "s", model, np.full(len(psi), 0.42864))
     for ne in range(model.de):
         for ms in range(model.ds):
-            assert abs(e_e[basis.index(ne, ms)] - (ne + 0.5) * model.groups.omega_ratio) < 1e-10
+            assert abs(e_e[basis.index(ne, ms)] - (ne + 0.5) * model.params.omega_ratio) < 1e-10
             assert abs(e_s[basis.index(ne, ms)] - w[ms]) < 1e-10
 
 

@@ -537,7 +537,7 @@ def test_ramp_twin_symmetry(t0, b):
 def test_truncation_converges_over_circuits(cs_scale, mu_es, phi):
     """Over ring capacitances, couplings and fluxes around the defaults the 40-state
     Fock basis passes the doubled-basis check, and the four lowest ring energies
-    move by less than convergence_tol (1e-6) from 40 to 80 states."""
+    move by less than check_truncation's tol (1e-6) from 40 to 80 states."""
     params = CircuitParams(Cs=cs_scale * DEFAULT_CS, mu_es=mu_es)
     model = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=40)
     doubled = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=80,

@@ -1,7 +1,8 @@
 """The README against the package source: it names every name the package
 exports, and every backticked `module.name` in it (`sq.` for the package)
-names something the module defines; and every module-level definition of the
-package is named somewhere beyond itself. Read with ast, without importing."""
+names something the module defines; every module-level definition of the
+package is named somewhere beyond itself, and every member of its classes is
+read as an attribute somewhere. Read with ast, without importing."""
 import ast
 import re
 from collections import Counter
@@ -92,13 +93,30 @@ def _named(tree, skip: set[int] = frozenset()) -> Counter:
     return names
 
 
+def _members(cls: ast.ClassDef) -> list[str]:
+    """The fields, properties and methods a class body defines, but not dunders."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_every_definition_is_named_beyond_itself():
     """Each module-level function, class and constant of the package is named
-    outside its own definition: in src/, tests/, perfbench/ or the README."""
+    outside its own definition, and each field, property and method of its
+    classes is read as an attribute (`.name`): in src/, tests/, perfbench/ or
+    the README."""
     trees = [ast.parse(path.read_text()) for folder in ("src", "tests", "perfbench")
              for path in sorted((ROOT / folder).rglob("*.py"))]
     named = sum((_named(tree, _docstrings(tree)) for tree in trees),
                 Counter(re.findall(r"[A-Za-z_]\w*", README)))
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    read.update(re.findall(r"\.([A-Za-z_]\w*)", README))
     unnamed = []
     for module in sorted(p.stem for p in PACKAGE.glob("*.py")):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
@@ -111,4 +129,7 @@ def test_every_definition_is_named_beyond_itself():
             else:
                 continue
             unnamed += [f"{module}.{name}" for name in defined if named[name] <= own[name]]
+            if isinstance(node, ast.ClassDef):
+                unnamed += [f"{module}.{node.name}.{name}" for name in _members(node)
+                            if name not in read]
     assert not unnamed, f"defined but never named beyond the definition: {unnamed}"

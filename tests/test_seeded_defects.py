@@ -15,7 +15,7 @@ import test_cli
 import test_dynamics
 import test_experiments
 import test_properties
-from squidring import circuit, dynamics, linalg, observables
+from squidring import circuit, dynamics, experiments, linalg, observables
 
 
 def _wrong_stage_weight(monkeypatch):
@@ -90,6 +90,11 @@ def _negated_charge_piece(monkeypatch):
     monkeypatch.setattr(circuit.RampHamiltonian, "__init__", init)
 
 
+def _skipped_sweep_truncation_check(monkeypatch):
+    """run_sweep runs without its check of the ring truncation."""
+    monkeypatch.setattr(experiments, "check_truncation", lambda *args: None)
+
+
 def _window_without_settle(monkeypatch):
     """The window's stage loop returns rho as stepped; frozen passes still settle it."""
     real = dynamics._window
@@ -121,9 +126,12 @@ DEFECTS = {
     "EIG_CLIP x1000": (_loosened(linalg, "EIG_CLIP"), [
         (test_properties.test_record_columns_reject_a_negative_density_matrix, {}),
     ]),
-    "convergence_tol x1000": (_scaled_default(circuit.truncate_to_eigenbasis,
-                                              "convergence_tol", 1000), [
+    "convergence_tol x1000": (_scaled_default(circuit.check_truncation, "tol", 1000), [
         (test_properties.test_small_fock_basis_fails_the_convergence_check, {}),
+        (test_cli.test_unconverged_ring_truncation_exits_3, {}),
+    ]),
+    "sweep truncation check skipped": (_skipped_sweep_truncation_check, [
+        (test_cli.test_unconverged_ring_truncation_exits_3, {}),
     ]),
     "sweep rel_tol 0.01 -> 0.5": (_scaled_default(observables.closed_form_time_average,
                                                   "rel_tol", 50), [
@@ -135,9 +143,10 @@ DEFECTS = {
         (test_dynamics.test_lindblad_thermal_fixed_point, {}),
         (test_dynamics.test_lindblad_damped_relaxation_analytic, {}),
     ]),
-    "charge piece negated": (_negated_charge_piece, [  # both restate the code's own sign
-        (test_circuit.test_ramp_hamiltonian_matches_direct_build, {}),
-        (test_cli.test_default_ramp_matches_the_benchmark_reference, {}),
+    "charge piece negated": (_negated_charge_piece, [
+        (test_circuit.test_ramp_hamiltonian_matches_direct_build, {}),  # the code's own sign
+        (test_cli.test_default_ramp_matches_the_benchmark_reference, {}),  # as captured
+        (test_dynamics.test_sudden_ramp_conserves_the_total_flux, {}),  # from the physics
     ]),
     "window stage loop without settle": (_window_without_settle, [
         (test_dynamics.test_damped_ramp_emits_exactly_hermitian_states, {}),
