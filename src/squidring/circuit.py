@@ -43,6 +43,9 @@ DEFAULT_BIAS = 0.42864
 DEFAULT_DE = 4
 DEFAULT_DS = 4
 DEFAULT_PRE_DIM = 40
+# Largest shift (hbar*omega_s) of a retained ring energy when the Fock basis
+# doubles that check_truncation accepts.
+TRUNCATION_TOL = 1e-6
 
 # Cosine-well energy as a multiple of Phi0^2/Lambda_s. Calibrated so that with
 # the default circuit the ring's first transition is resonant with one field
@@ -352,13 +355,13 @@ class TruncatedModel:
 
 
 def check_truncation(params: CircuitParams, pre_dim: int, phi_x: float | np.ndarray,
-                     w: np.ndarray, tol: float = 1e-6) -> None:
+                     w: np.ndarray) -> None:
     """Raise ConvergenceError unless the retained ring eigenvalues w from the pre_dim
-    Fock basis, a row per flux of phi_x, agree to tol (hbar*omega_s) with the doubled
+    Fock basis, a row per flux of phi_x, agree to TRUNCATION_TOL with the doubled
     basis's."""
     w2 = np.linalg.eigvalsh(build_hs(fock_ring_ops(2 * pre_dim, params.lambda_s), params, phi_x))
     shift = np.max(np.abs(w - w2[..., :w.shape[-1]]))
-    if shift > tol:
+    if shift > TRUNCATION_TOL:
         raise ConvergenceError(f"ring eigenvalues move by {shift:.2e} hbar*omega_s when pre_dim "
                                f"doubles from {pre_dim}; increase pre_dim")
 
@@ -369,14 +372,12 @@ def truncate_to_eigenbasis(
     pre_dim: int = DEFAULT_PRE_DIM,
     de: int = DEFAULT_DE,
     ds: int = DEFAULT_DS,
-    check_convergence: bool = True,
 ) -> TruncatedModel:
-    """Project the ring onto its `ds` lowest eigenstates at the reference flux;
-    with check_convergence, check_truncation must pass there."""
+    """Project the ring onto its `ds` lowest eigenstates at the reference flux,
+    where check_truncation must pass."""
     ops = fock_ring_ops(pre_dim, params.lambda_s)
     w, v = np.linalg.eigh(build_hs(ops, params, ring_ref_flux))
-    if check_convergence:
-        check_truncation(params, pre_dim, ring_ref_flux, w[:ds])
+    check_truncation(params, pre_dim, ring_ref_flux, w[:ds])
     t = v[:, :ds]
     return TruncatedModel(params=params, de=de, ds=ds, pre_dim=pre_dim, ring=ops.transformed(t),
                           ring_energies=w[:ds].copy(), ring_transform=t)

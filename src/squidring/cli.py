@@ -126,7 +126,7 @@ def _run_dissipative(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 def _run_validate(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
     """Invariant battery on the configured model; raises on failure."""
     model = _model_from_config(cfg)
-    drive = cfg.ramp.drive
+    drive = cfg.ramp  # the ramp block is the FluxDrive it runs
     ham = RampHamiltonian(model, drive)
     checks: list[tuple[str, bool]] = []
 
@@ -207,8 +207,6 @@ def main(argv=None) -> int:
                       for key, value in (("directory", args.out), ("format", args.format))
                       if value is not None]
         apply_overrides(raw, shorthands + args.overrides)
-        if args.command != "validate":
-            raw["experiment"] = args.command
         cfg = parse_config(raw)
         out = Path(cfg.output.directory)
         try:

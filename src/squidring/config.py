@@ -17,7 +17,6 @@ from .circuit import DEFAULT_DE, DEFAULT_DS, DEFAULT_PRE_DIM, CircuitParams, che
 from .dynamics import SAMPLE_DT, IntegratorConfig
 from .experiments import BathConfig, ConfigError, RampConfig, SweepConfig
 
-EXPERIMENTS = ("sweep", "ramp", "dissipative")
 FORMATS = ("csv", "jsonl")
 
 
@@ -51,7 +50,6 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str = "ramp"
     circuit: CircuitParams = field(default_factory=CircuitParams)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
@@ -67,8 +65,8 @@ class RunConfig:
         return asdict(self)
 
 
-# Every RunConfig field but the experiment is a block, made by its default factory.
-_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "experiment"}
+# Every RunConfig field is a block, made by its default factory.
+_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _build(cls, block: str, data: dict):
@@ -105,23 +103,15 @@ def read_config(path: str | Path | None) -> dict:
     return data
 
 
-def parse_config(source: str | Path | dict | None = None) -> RunConfig:
-    """Parse and validate a config from a JSON file path or an already-loaded dict."""
-    if isinstance(source, dict):
-        data = json.loads(json.dumps(source))  # defensive copy
-    else:
-        data = read_config(source)
+def parse_config(data: dict | None) -> RunConfig:
+    """Parse and validate a loaded JSON config object (read_config's); None is {}."""
+    data = json.loads(json.dumps(data or {}))  # defensive copy
 
-    top_allowed = {"experiment"} | set(_BLOCKS)
-    unknown = set(data) - top_allowed
+    unknown = set(data) - set(_BLOCKS)
     if unknown:
         raise ConfigError(
-            f"unknown top-level key(s): {sorted(unknown)}; allowed: {sorted(top_allowed)}"
+            f"unknown top-level key(s): {sorted(unknown)}; allowed: {sorted(_BLOCKS)}"
         )
-
-    experiment = data.get("experiment", RunConfig.experiment)
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
 
     bath = data.get("bath")
     if isinstance(bath, dict) and "gamma" in bath:  # scalar alias for a single-rate run
@@ -130,7 +120,7 @@ def parse_config(source: str | Path | dict | None = None) -> RunConfig:
         bath["gammas"] = [bath.pop("gamma")]
 
     blocks = {name: _build(cls, name, data.get(name, {})) for name, cls in _BLOCKS.items()}
-    return RunConfig(experiment=experiment, **blocks)
+    return RunConfig(**blocks)
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

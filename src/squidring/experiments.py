@@ -96,28 +96,22 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class RampConfig:
-    A: float = FluxDrive.A
-    B: float = FluxDrive.B
-    t0: float = FluxDrive.t0
-    tr: float = FluxDrive.tr
+class RampConfig(FluxDrive):
+    """The ramp block: the FluxDrive the run follows (A, B, t0, tr), then where
+    the run ends, where its t0 comes from and how its states are labeled."""
+
     t_end: float | None = None          # default 3 * t0
     auto_t0: bool = False               # replace t0 by the half-exchange time at A
     label_mode: str = "instantaneous"   # or "frozen" (labels stay at the A basis)
 
     def __post_init__(self):
-        check_types(self)
+        super().__post_init__()  # every field's type, then the drive's own rules
         if self.label_mode not in ("instantaneous", "frozen"):
             raise ValueError(f"unknown label_mode {self.label_mode!r}")
-        drive = self.drive
-        end, ramp_end = self.resolved_t_end, drive.t0 + drive.tr
+        end, ramp_end = self.resolved_t_end, self.t0 + self.tr
         if end <= ramp_end:
             raise ValueError(f"t_end = {end:g} must lie beyond the end of the ramp "
                              f"at t0 + tr = {ramp_end:g}")
-
-    @property
-    def drive(self) -> FluxDrive:
-        return FluxDrive(A=self.A, B=self.B, t0=self.t0, tr=self.tr)
 
     @property
     def resolved_t_end(self) -> float:
@@ -442,10 +436,12 @@ def run_sweep(
     static = StaticAverages(params, cfg.tau, cfg.sample_dt, de, ds, pre_dim)
     grid = cfg.grid
     n = len(grid)
-    ends = grid[[0, n // 2, -1]]  # the fluxes where the ring truncation is checked
-    w = np.linalg.eigvalsh(_combine(drive_coefficients(ends), static.pieces))
-    check_truncation(params, pre_dim, ends, w[:, :ds])
     symmetric = np.abs(grid + grid[::-1] - 1.0).max() <= 4 * np.finfo(float).eps
+    # the ring truncation is checked at the first, middle and last flux; on a
+    # symmetric grid the last is the first's twin, with the same ring spectrum
+    checked = grid[[0, n // 2]] if symmetric else grid[[0, n // 2, -1]]
+    w = np.linalg.eigvalsh(_combine(drive_coefficients(checked), static.pieces))
+    check_truncation(params, pre_dim, checked, w[:, :ds])
     solved = grid[:(n + 1) // 2] if symmetric else grid
     blocks = [static.averages(solved[i:i + SWEEP_BLOCK])
               for i in range(0, len(solved), SWEEP_BLOCK)]
@@ -521,9 +517,8 @@ def run_ramp(
     """Flux-ramp protocol from |1e0s> at flux A; Lindblad when baths are set.
     ConfigError when the baths' thermal occupation is not finite."""
     cfg = resolve_t0(cfg, model)
-    drive = cfg.drive
-    ham = RampHamiltonian(model, drive)
-    basis_a = labeled_basis(model, drive.A)
+    ham = RampHamiltonian(model, cfg)
+    basis_a = labeled_basis(model, cfg.A)
     psi0 = basis_a.state(*INITIAL_LABEL)
     state0 = QuantumState.pure(psi0, (model.de, model.ds), t=0.0)
     t_end = cfg.resolved_t_end
@@ -535,9 +530,8 @@ def run_ramp(
             baths.mean_occupation  # ValueError where it is not finite
         except ValueError as exc:
             raise ConfigError(f"bath: {exc}") from exc
-        rho0 = QuantumState.mixed(state0.density(), state0.dims, t=0.0)
         traj = evolve_lindblad(
-            rho0, ham, baths, model.collapse_operators(), t_end,
+            state0, ham, baths, model.collapse_operators(), t_end,
             config=integrator, sample_dt=sample_dt,
         )
     else:
@@ -545,7 +539,7 @@ def run_ramp(
             state0, ham, t_end, config=integrator, sample_dt=sample_dt
         )
 
-    records = record_from_state(traj, model, drive, cfg.label_mode)
+    records = record_from_state(traj, model, cfg, cfg.label_mode)
     return RampResult(records=records, plateau=_plateau_stats(records), trajectory=traj)
 
 

@@ -139,8 +139,7 @@ def test_operator_trig_under_truncation(model):
         assert w.min() > -1 - 1e-10 and w.max() < 1 + 1e-10
     # the residual on the low-lying block shrinks as the basis grows
     def ground_block_dev(ds):
-        big = truncate_to_eigenbasis(CircuitParams(), ds=ds,
-                                     check_convergence=False)
+        big = truncate_to_eigenbasis(CircuitParams(), ds=ds)
         c, s = big.ring.cos_phi, big.ring.sin_phi
         return np.max(np.abs((c @ c + s @ s - np.eye(ds))[:2, :2]))
 
@@ -151,8 +150,7 @@ def test_truncation_isometry_and_convergence(model):
     t = model.ring_transform
     np.testing.assert_allclose(t.conj().T @ t, np.eye(model.ds), atol=1e-12)
     # doubling the pre-truncation basis leaves the retained levels in place
-    big = truncate_to_eigenbasis(CircuitParams(), pre_dim=80,
-                                 check_convergence=False)
+    big = truncate_to_eigenbasis(CircuitParams(), pre_dim=80)
     np.testing.assert_allclose(model.ring_energies, big.ring_energies, atol=1e-6)
 
 

@@ -16,13 +16,13 @@ from squidring.config import (
     TruncationConfig,
     apply_overrides,
     parse_config,
+    read_config,
 )
 
 
 def test_empty_config_is_valid_defaults():
     cfg = parse_config({})
     assert cfg == RunConfig()
-    assert cfg.experiment == "ramp"
     assert cfg.ramp.A == 0.42864
     assert cfg.bath.gammas == (1e-5, 1e-4)
     assert cfg.output.format == "csv"
@@ -47,9 +47,19 @@ def test_invalid_value_names_field():
         parse_config({"circuit": {"Cs": -1e-16}})
 
 
-def test_invalid_experiment():
-    with pytest.raises(ConfigError, match="experiment"):
-        parse_config({"experiment": "spectroscopy"})
+@pytest.mark.parametrize("command", ["ramp", "sweep", "dissipative", "validate"])
+def test_retired_experiment_key_exits_2(tmp_path, capsys, command):
+    """The subcommand picks what runs, so the top-level "experiment" key is
+    unknown, with any value: in an old resolved_config.json as on the command
+    line. No output directory is made."""
+    old = tmp_path / "resolved_config.json"
+    old.write_text(json.dumps({"experiment": command, **RunConfig().to_dict()}))
+    out = tmp_path / "run"
+    for args in (["--config", str(old)], ["--set", f"experiment={command}"],
+                 ["--set", "experiment=spectroscopy"]):
+        assert main([command, "--out", str(out), *args]) == 2
+        assert "unknown top-level key(s): ['experiment']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cross_block_validation():
@@ -69,7 +79,6 @@ def test_bath_gamma_scalar_alias():
 
 def test_round_trip_serialization():
     src = {
-        "experiment": "dissipative",
         "circuit": {"mu_es": 0.02},
         "ramp": {"B": 0.37, "t_end": 800.0},
         "bath": {"gammas": [3e-5], "Tb": 1.0},
@@ -82,20 +91,20 @@ def test_round_trip_serialization():
 def test_parse_from_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"ramp": {"A": 0.43}}))
-    assert parse_config(path).ramp.A == 0.43
+    assert parse_config(read_config(path)).ramp.A == 0.43
     with pytest.raises(ConfigError, match="not found"):
-        parse_config(tmp_path / "missing.json")
+        parse_config(read_config(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line 1"):
-        parse_config(bad)
+        parse_config(read_config(bad))
 
 
 def test_top_level_must_be_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
-        parse_config(path)
+        parse_config(read_config(path))
 
 
 def test_apply_overrides():
@@ -182,7 +191,7 @@ def test_config_schema_is_the_readme(tmp_path):
                 for f in fields(RunConfig)}
     assert _keys(documented) == accepted
     for key in ("seed", "sweep.initial_label", "ramp.sample_dt", "ramp.baths",
-                "ramp.drive"):
+                "ramp.drive", "ramp.breakpoints", "ramp.resolved_t_end"):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config(apply_overrides({}, [f"{key}=1"]))
 

@@ -750,7 +750,7 @@ def test_tdse_default_ramp_peak_memory(model):
     reused buffers, never for all 3,321 window steps at once (13.6 MiB per
     (3321, 16, 16) complex stack)."""
     cfg = RampConfig()
-    ham = RampHamiltonian(model, cfg.drive)
+    ham = RampHamiltonian(model, cfg)
     psi0 = np.zeros(model.dim, complex)
     psi0[model.ds] = 1.0
     state = QuantumState.pure(psi0, (model.de, model.ds))

@@ -77,8 +77,7 @@ def test_static_averages_match_time_grid(phi):
     tau, dt = 2000.0, 0.25
     got = static_averages(CircuitParams(), phi, tau=tau, sample_dt=dt,
                           de=4, ds=4, pre_dim=40)
-    model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
-                                      check_convergence=False)
+    model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi)
     w, v = np.linalg.eigh(build_total(model, phi))
     psi0 = np.zeros(16, complex)
     psi0[1 * 4 + 0] = 1.0
@@ -100,8 +99,7 @@ def test_static_point_matches_integrator():
     integrator on the same static Hamiltonian."""
     phi = 0.43
     tau, dt = 200.0, 0.25
-    model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi,
-                                      check_convergence=False)
+    model = sq.truncate_to_eigenbasis(CircuitParams(), ring_ref_flux=phi)
     avg_e, _, _, _ = static_averages(
         CircuitParams(), phi, tau=tau, sample_dt=dt,
         de=4, ds=4, pre_dim=40,

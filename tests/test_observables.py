@@ -39,7 +39,6 @@ def test_labeled_basis_orthonormal(model, basis):
     np.testing.assert_allclose(gram, np.eye(model.dim), atol=1e-12)
     assert basis.index(1, 0) == model.ds
     assert basis.index(0, 1) == 1
-    assert basis.flux_at_labeling == 0.42864
 
 
 def test_basis_states_are_energy_products(model, basis):
@@ -158,7 +157,7 @@ def test_pure_records_pass_never_forms_a_density_stack(model, ramp_result):
     traj, cfg = ramp_result.trajectory, RampConfig()
     tracemalloc.start()
     try:
-        record_columns(traj, model, cfg.drive, cfg.label_mode)
+        record_columns(traj, model, cfg, cfg.label_mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

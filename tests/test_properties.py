@@ -321,7 +321,7 @@ def test_closed_form_average_is_sampled_trapezoid(parity, real, data, tau, sampl
     avg, flag = closed_form_time_average(ts, energies, amplitudes)
     want, want_flag = time_averaged_energy(ts, sampled)
     assert abs(avg - want) < 1e-12
-    # the flag compares |avg - avg_half| with rel_tol * |avg|; where the two lie
+    # the flag compares |avg - avg_half| with CONVERGENCE_REL_TOL * |avg|; where the two lie
     # within round-off of each other the decision is round-off, not a property
     k = np.searchsorted(ts, tau / 2, side="right")
     want_half, _ = time_averaged_energy(ts[:k], sampled[:k])
@@ -338,7 +338,8 @@ def test_static_averages_twin_symmetry(cs_scale, lambda_scale, mu_es, fluxes):
     at 1 - phi, so H_s(1 - phi) = parity H_s(phi) parity; with parity on the field
     too, the coupling and |1e,0s> are kept. Over circuits around the defaults the
     averages at phi and 1 - phi therefore agree, and so do the convergence flags
-    wherever |avg - avg_half| / |avg| is not within round-off of rel_tol (0.01)."""
+    wherever |avg - avg_half| / |avg| is not within round-off of CONVERGENCE_REL_TOL
+    (0.01)."""
     params = CircuitParams(Cs=cs_scale * DEFAULT_CS, Lambda_s=lambda_scale * DEFAULT_LAMBDA_S,
                            mu_es=mu_es)
     grid = dict(tau=2000.0, sample_dt=0.25, de=4, ds=4, pre_dim=40)
@@ -382,7 +383,7 @@ def test_static_averages_assemble_build_total(cs_scale, lambda_scale, mu_es, flu
     (h,) = handed
     assert h.shape == (len(fluxes), 16, 16)
     for got, phi in zip(h, fluxes):
-        model = truncate_to_eigenbasis(params, ring_ref_flux=phi, check_convergence=False)
+        model = truncate_to_eigenbasis(params, ring_ref_flux=phi)
         assert np.max(np.abs(got - build_total(model, phi))) < 1e-12
 
 
@@ -434,7 +435,7 @@ def test_static_averages_stack_is_per_point(fluxes, mu_es):
 
     ts = np.linspace(0.0, 2000.0, 8001)
     for phi, (avg_e, avg_s, _, _) in zip(fluxes, single):
-        model = truncate_to_eigenbasis(params, ring_ref_flux=phi, check_convergence=False)
+        model = truncate_to_eigenbasis(params, ring_ref_flux=phi)
         w, v = np.linalg.eigh(build_total(model, phi))
         c = v[1 * 4 + 0].conj()  # |1e, 0s> in the eigenbasis
         for op, got in ((np.kron(model.field_h, np.eye(4)), avg_e),
@@ -519,6 +520,22 @@ def test_record_columns_reject_a_negative_density_matrix(model):
         record_columns(traj, model, FluxDrive())
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.30, 0.70), st.floats(0.30, 0.70), st.floats(0.0, 500.0),
+       st.floats(1e-3, 50.0), arrays(float, 8, elements=st.floats(-10.0, 600.0)))
+def test_ramp_config_is_the_drive_it_runs(a, b, t0, tr, t):
+    """The ramp block is a FluxDrive: its value, rate and breakpoints are those of
+    FluxDrive(A, B, t0, tr) bit for bit, on arrays of times, at one time and on
+    the breakpoints themselves."""
+    cfg = RampConfig(A=a, B=b, t0=t0, tr=tr, t_end=t0 + tr + 1.0)
+    drive = FluxDrive(A=a, B=b, t0=t0, tr=tr)
+    assert cfg.breakpoints == drive.breakpoints
+    for times in (t, t[0], *drive.breakpoints):
+        for name in ("value", "rate"):
+            got, want = getattr(cfg, name)(times), getattr(drive, name)(times)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=3, deadline=None)
 @given(st.floats(2.0, 8.0), st.floats(0.37, 0.40))
 def test_ramp_twin_symmetry(t0, b):
@@ -537,11 +554,10 @@ def test_ramp_twin_symmetry(t0, b):
 def test_truncation_converges_over_circuits(cs_scale, mu_es, phi):
     """Over ring capacitances, couplings and fluxes around the defaults the 40-state
     Fock basis passes the doubled-basis check, and the four lowest ring energies
-    move by less than check_truncation's tol (1e-6) from 40 to 80 states."""
+    move by less than TRUNCATION_TOL (1e-6) from 40 to 80 states."""
     params = CircuitParams(Cs=cs_scale * DEFAULT_CS, mu_es=mu_es)
     model = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=40)
-    doubled = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=80,
-                                     check_convergence=False)
+    doubled = truncate_to_eigenbasis(params, ring_ref_flux=phi, pre_dim=80)
     assert np.max(np.abs(model.ring_energies - doubled.ring_energies)) < 1e-6
 
 

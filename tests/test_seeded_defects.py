@@ -42,16 +42,6 @@ def _loosened(module, name):
     return apply
 
 
-def _scaled_default(f, name, factor):
-    """The default of the argument `name` of `f` scaled by factor."""
-    def apply(monkeypatch):
-        defaults = dict(zip(list(inspect.signature(f).parameters)[-len(f.__defaults__):],
-                            f.__defaults__))
-        defaults[name] *= factor
-        monkeypatch.setattr(f, "__defaults__", tuple(defaults.values()))
-    return apply
-
-
 def _no_constant_piece(monkeypatch):
     """The window knots' K stacks lack their constant piece k_fix + i shift."""
     real = dynamics._k_stacks
@@ -126,15 +116,14 @@ DEFECTS = {
     "EIG_CLIP x1000": (_loosened(linalg, "EIG_CLIP"), [
         (test_properties.test_record_columns_reject_a_negative_density_matrix, {}),
     ]),
-    "convergence_tol x1000": (_scaled_default(circuit.check_truncation, "tol", 1000), [
+    "TRUNCATION_TOL x1000": (_loosened(circuit, "TRUNCATION_TOL"), [
         (test_properties.test_small_fock_basis_fails_the_convergence_check, {}),
         (test_cli.test_unconverged_ring_truncation_exits_3, {}),
     ]),
     "sweep truncation check skipped": (_skipped_sweep_truncation_check, [
         (test_cli.test_unconverged_ring_truncation_exits_3, {}),
     ]),
-    "sweep rel_tol 0.01 -> 0.5": (_scaled_default(observables.closed_form_time_average,
-                                                  "rel_tol", 50), [
+    "CONVERGENCE_REL_TOL x1000": (_loosened(observables, "CONVERGENCE_REL_TOL"), [
         (test_experiments.test_static_averages_match_time_grid, {"phi": 0.42864}),
         (test_properties.test_static_averages_twin_symmetry.hypothesis.inner_test,
          {"cs_scale": 1.0, "lambda_scale": 1.0, "mu_es": 0.01, "fluxes": [0.42864]}),
