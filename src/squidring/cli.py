@@ -82,6 +82,7 @@ def _ramp_setup(cfg: RunConfig):
 
 
 def _run_ramp(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
+    """unitary flux-ramp entanglement protocol"""
     model, cfg = _ramp_setup(cfg)
     result = run_ramp(cfg.ramp, model, cfg.integrator, sample_dt=cfg.output.sample_dt)
     _write_data(cfg, "ramp", result.records)
@@ -91,6 +92,7 @@ def _run_ramp(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 
 
 def _run_sweep(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
+    """time-averaged energies vs static bias flux"""
     result = run_sweep(cfg.sweep, cfg.circuit,
                        de=cfg.truncation.de, ds=cfg.truncation.ds,
                        pre_dim=cfg.truncation.pre_dim)
@@ -112,6 +114,7 @@ def _run_sweep(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 
 
 def _run_dissipative(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
+    """flux-ramp protocol with thermal damping"""
     model, cfg = _ramp_setup(cfg)
     results = run_dissipative(cfg.ramp, model, cfg.bath, cfg.integrator, cfg.output.sample_dt)
     lines = ["dissipative run"]
@@ -124,7 +127,7 @@ def _run_dissipative(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 
 
 def _run_validate(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
-    """Invariant battery on the configured model; raises on failure."""
+    """run the model invariant checks (raises on failure)"""
     model = _model_from_config(cfg)
     drive = cfg.ramp  # the ramp block is the FluxDrive it runs
     ham = RampHamiltonian(model, drive)
@@ -171,56 +174,44 @@ def _run_validate(cfg: RunConfig) -> tuple[RunConfig, list[str]]:
 
 
 _RUNNERS = {
-    "ramp": _run_ramp,
     "sweep": _run_sweep,
+    "ramp": _run_ramp,
     "dissipative": _run_dissipative,
     "validate": _run_validate,
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: a command, a key of _RUNNERS (its runner's docstring is its help), options."""
     parser = argparse.ArgumentParser(
-        prog="squidring",
+        prog="squidring", formatter_class=argparse.RawTextHelpFormatter,
         description="SQUID ring / em field mode entanglement protocol simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("sweep", "time-averaged energies vs static bias flux"),
-        ("ramp", "unitary flux-ramp entanglement protocol"),
-        ("dissipative", "flux-ramp protocol with thermal damping"),
-        ("validate", "run the model invariant checks"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--out", help="output directory: output.directory")
-        p.add_argument("--format", help="csv or jsonl: output.format")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dot-path config override, applied last")
+    parser.add_argument("command", choices=_RUNNERS, help="\n".join(
+        f"{name}: {run.__doc__}" for name, run in _RUNNERS.items()))
+    parser.add_argument("--config", type=Path, help="JSON config file")
+    parser.add_argument("--out", help="output directory: output.directory")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="dot-path config override, applied last")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+
+    def write_config(used: RunConfig) -> None:
+        (out / "resolved_config.json").write_text(json.dumps(used.to_dict(), indent=2) + "\n")
+
     try:
         raw = read_config(args.config)
-        shorthands = [f"output.{key}={json.dumps(value)}"  # JSON strings: --out 123 is "123"
-                      for key, value in (("directory", args.out), ("format", args.format))
-                      if value is not None]
-        apply_overrides(raw, shorthands + args.overrides)
+        out_flag = [] if args.out is None else [f"output.directory={json.dumps(args.out)}"]
+        apply_overrides(raw, out_flag + args.overrides)  # --out 123 is the string "123"
         cfg = parse_config(raw)
         out = Path(cfg.output.directory)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    def write_config(used: RunConfig) -> None:
-        (out / "resolved_config.json").write_text(json.dumps(used.to_dict(), indent=2) + "\n")
-
-    try:
         used, lines = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -105,19 +105,12 @@ def read_config(path: str | Path | None) -> dict:
 
 def parse_config(data: dict | None) -> RunConfig:
     """Parse and validate a loaded JSON config object (read_config's); None is {}."""
-    data = json.loads(json.dumps(data or {}))  # defensive copy
-
+    data = data or {}  # read, never written: the caller's dict stays as it was
     unknown = set(data) - set(_BLOCKS)
     if unknown:
         raise ConfigError(
             f"unknown top-level key(s): {sorted(unknown)}; allowed: {sorted(_BLOCKS)}"
         )
-
-    bath = data.get("bath")
-    if isinstance(bath, dict) and "gamma" in bath:  # scalar alias for a single-rate run
-        if "gammas" in bath:
-            raise ConfigError("bath.gamma and bath.gammas are mutually exclusive")
-        bath["gammas"] = [bath.pop("gamma")]
 
     blocks = {name: _build(cls, name, data.get(name, {})) for name, cls in _BLOCKS.items()}
     return RunConfig(**blocks)

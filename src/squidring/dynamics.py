@@ -9,10 +9,10 @@ at drive discontinuities; `static_on(a, b)` on arrays of interval ends, which
 intervals have a frozen drive; and H(t) = sum_k c_k(t) P_k as `pieces` and
 `coefficients(t)`. Each pass over a run of knots takes its own K from
 `_k_stacks`, and `_rk4_maps` builds every RK4 step map. A frozen pass applies
-its one-step map's power once per knot; a window pass takes the coefficients at
-all its RK4 stage times from one call, and `_window`, the one window path,
-turns each knot's K into per-step maps for a psi of dimension up to
-WINDOW_MAP_MAX_DIM and runs the stage loop for a larger psi or any rho.
+its one-step map's power once per knot (a small psi's by doubling, in
+`_power_rows`); a window pass takes all its RK4 stage times' coefficients in
+one call; `_window`, the one window path, makes each knot's per-step maps for
+a psi of up to WINDOW_MAP_MAX_DIM states, else runs the stage loop.
 
 Internally H is shifted by its mean diagonal (a pure global phase for the
 TDSE, exactly nothing for the master equation) to reduce the spectral radius
@@ -270,23 +270,33 @@ def _rk4_stages(apply, k1, k2, k4, h, y):
 
 def _rk4_maps(k1, k2, k4, h, out):
     """The maps of n RK4 steps of size h of dy/dt = K(t) y, with K1, K2 and K4
-    the (n, D, D) stacks of K at each step's start, middle and end: P = I +
-    h/6 (K1 + 2 S2 + 2 S3 + S4), S2 = K2 (I + h/2 K1), S3 = K2 (I + h/2 S2) and
-    S4 = K4 (I + h S3), from three batched products written in place into the
-    three (n, D, D) buffers of `out`. Returns P, in out[0]. On a constant K
-    (K1 = K2 = K4) P is the degree-4 Taylor polynomial of exp(h K)."""
-    s2, s3, s4 = out
-    for k, s, c, o in ((k2, k1, 0.5 * h, s2), (k2, s2, 0.5 * h, s3), (k4, s3, h, s4)):
-        np.matmul(k, s, out=o)  # o = K (I + c S)
-        o *= c
-        o += k
-    s2 += s3  # P = I + h/3 (S2 + S3) + h/6 (K1 + S4), in S2's buffer
-    s2 *= h / 3
+    the (n, D, D) stacks of K at each step's start, middle and end: P = I + h/3
+    (S2 + S3 + (K1 + S4)/2), S2 = K2 (I + h/2 K1), S3 = K2 (I + h/2 S2), S4 = K4
+    (I + h S3), each I + c S built in out[2]; P, in out[0], takes I last. On a
+    constant K (K1 = K2 = K4) P is the degree-4 Taylor polynomial of exp(h K)."""
+    s2, s4, t = out  # S3 waits in S4's buffer until S2 + S3 is formed
+    for k, s, c, o in ((k2, k1, 0.5 * h, s2), (k2, s2, 0.5 * h, s4), (k4, s4, h, s4)):
+        np.multiply(s, c, out=t)  # t = I + c S
+        t.reshape(len(t), -1)[:, ::t.shape[-1] + 1] += 1.0
+        if s is o:  # the last product overwrites S3: add it to S2 first
+            s2 += s4
+        np.matmul(k, t, out=o)
     s4 += k1
-    s4 *= h / 6
+    s4 *= 0.5
     s2 += s4
+    s2 *= h / 3
     s2.reshape(len(s2), -1)[:, ::s2.shape[-1] + 1] += 1.0
     return s2
+
+
+def _power_rows(m, y, rows):
+    """rows[k] = M^(k + 1) y by doubling: rows[b:2b] = rows[:b] (M^b)^T, then M^b squared."""
+    rows[0] = m @ y
+    b = 1
+    while b < len(rows):
+        block = rows[b:2 * b]
+        np.matmul(rows[:len(block)], m.T, out=block)
+        m, b = m @ m, 2 * b
 
 
 def _takes_maps(y) -> bool:
@@ -301,8 +311,9 @@ def _window(eq, k1, k2, k4, h, y, out):
     per step; else the stage loop (O(d^2) a step against O(d^3)), then eq.settle."""
     if not _takes_maps(y):
         return eq.settle(_rk4_stages(eq.apply, k1, k2, k4, h, y))
-    for m in _rk4_maps(k1, k2, k4, h, out):
-        y = m @ y
+    z = np.empty((2, len(y)), complex)  # alternating product buffers
+    for k, m in enumerate(_rk4_maps(k1, k2, k4, h, out)):
+        y = np.dot(m, y, out=z[k % 2])
     return y
 
 
@@ -363,18 +374,19 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     intervals (a constant-H stretch) or of window intervals, and a new one
     starts where (n, rounded span) changes and after a knot that is not a
     sample. Each pass takes its own K and shift (H's mean diagonal; the TDSE
-    phase it removes is restored on output) from one `_k_stacks` call: a
-    frozen pass at its first interval's midpoint (its bits anywhere inside
-    it), a window pass at every RK4 stage. A frozen pass applies the n-th
-    power of `_rk4_maps`' one-step map of the dense generator to the flattened
-    state, then `eq.settle`, once per knot. A window knot is one `_window`
-    call, with map buffers allocated once per pass where `_takes_maps`. A pass
-    over knots i + 1 .. j writes output rows row(i + 1) .. row(j), row(k)
-    being the number of samples before knot k, so a knot that is not a sample
-    (the last of its pass) lands in the next sample's row, which the next pass
-    overwrites. `_check` runs on the initial state and once per pass: drift
-    and finiteness at every knot, the lowest eigenvalue at every sample; the
-    first failure raises. Returns (times, samples, max drift, min eigenvalue).
+    phase it removes is restored on output) from one `_k_stacks` call: a frozen
+    pass at its first interval's midpoint (its bits anywhere inside it), a
+    window pass at every RK4 stage. A frozen pass applies M, the n-th power of
+    `_rk4_maps`' one-step map of the dense generator, by `_power_rows` where
+    `_takes_maps`, else to the flattened state, then `eq.settle`, once per
+    knot. A window knot is one `_window` call, with map buffers allocated once
+    per pass where `_takes_maps`. A pass over knots i + 1 .. j writes output
+    rows row(i + 1) .. row(j), row(k) being the number of samples before knot
+    k, so a knot that is not a sample (the last of its pass) lands in the next
+    sample's row, which the next pass overwrites. `_check` runs on the initial
+    state and once per pass: drift and finiteness at every knot, the lowest
+    eigenvalue at every sample; the first failure raises. Returns (times,
+    samples, max drift, min eigenvalue).
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end >= t_start):
         raise ValueError(f"t_end must be a finite time >= t_start = {t_start!r}, got {t_end!r}")
@@ -418,8 +430,12 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                 step = _rk4_maps(g, g, g, spans[i] / n, [np.empty_like(g) for _ in range(3)])[0]
                 del g
                 step_map = np.linalg.matrix_power(step, n)
-                for k in range(j - i):
-                    y = rows[k] = eq.settle((step_map @ y.reshape(-1)).reshape(y.shape))
+                if _takes_maps(y):
+                    _power_rows(step_map, y, rows)
+                    y = rows[-1].copy()  # emit rotates the rows in place
+                else:
+                    for k in range(j - i):
+                        y = rows[k] = eq.settle((step_map @ y.reshape(-1)).reshape(y.shape))
         drift, w_min = _check(eq, knots[i + 1:j + 1], rows, is_sample[i + 1:j + 1])
         max_drift, min_eig = max(max_drift, drift), min(min_eig, w_min)
         phases = np.cumsum(np.concatenate(([phase], shift * spans[i:j])))[1:]

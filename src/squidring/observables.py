@@ -126,7 +126,7 @@ def reduced_states(data: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray,
     if data.ndim == 2:
         psi = data.reshape(-1, *dims)
         psi_c = psi.conj()
-        return np.einsum("tia,tja->tij", psi, psi_c), np.einsum("tai,taj->tij", psi, psi_c)
+        return psi @ psi_c.mT, psi.mT @ psi_c
     return partial_trace(data, dims, keep=0), partial_trace(data, dims, keep=1)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squidring
-from squidring import experiments
+from squidring import cli, experiments
 from squidring.cli import _fmt, _write_rows, main
 from squidring.observables import RECORD_COLUMNS
 
@@ -135,9 +135,58 @@ def test_ramp_that_vanishes_against_t0_exits_2(tmp_path, capsys, overrides):
 
 def test_unknown_format_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["ramp", "--out", str(out), "--format", "xml"]) == 2
+    assert main(["ramp", "--out", str(out), "--set", "output.format=xml"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_format_flag_is_retired(tmp_path, capsys):
+    """`--set output.format=F` is the one form of the data format: `--format F`
+    is an unknown argument, exit 2 before any output directory is made."""
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["ramp", "--out", str(out), "--format", "jsonl"] + SHORT_RAMP)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format jsonl" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_bath_gamma_alias_is_retired(tmp_path, capsys, source):
+    """`bath.gammas` is the one form of the bath's rates: a scalar `gamma`, on
+    the command line or in a config file, is an unknown key whose error names
+    `gammas`, exit 2 with no data file."""
+    out = tmp_path / "run"
+    if source == "set":
+        args = ["--set", "bath.gamma=1e-4"]
+    else:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"bath": {"gamma": 2e-5}}))
+        args = ["--config", str(path)]
+    assert main(["dissipative", "--out", str(out), *args] + SHORT_RAMP) == 2
+    err = capsys.readouterr().err
+    assert "unknown key(s) in 'bath': ['gamma']" in err and "'gammas'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ramp", "--help"]])
+def test_help_is_one_usage_naming_every_command(capsys, argv):
+    """One parser serves every command, so the help, asked with or without a
+    command, is one usage whose command choices are the runner table's keys."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.count("usage:") == 1
+    assert "{" + ",".join(cli._RUNNERS) + "}" in text
+    assert set(cli._RUNNERS) == {"sweep", "ramp", "dissipative", "validate"}
+    assert all(f"{name}: " in text for name in cli._RUNNERS)
+
+
+def test_options_before_the_command_run(tmp_path):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), *SHORT_RAMP, "ramp"]) == 0
+    assert len(read_csv(out / "ramp.csv")[1]) == 19
 
 
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
@@ -194,7 +243,7 @@ def test_ramp_determinism(tmp_path):
 
 def test_ramp_jsonl_format(tmp_path):
     out = tmp_path / "run"
-    assert main(["ramp", "--out", str(out), "--format", "jsonl"] + SHORT_RAMP) == 0
+    assert main(["ramp", "--out", str(out), "--set", "output.format=jsonl"] + SHORT_RAMP) == 0
     lines = (out / "ramp.jsonl").read_text().splitlines()
     assert len(lines) == 19
     first = json.loads(lines[0])
@@ -203,11 +252,11 @@ def test_ramp_jsonl_format(tmp_path):
 
 
 def test_out_and_format_are_recorded_and_rerun(tmp_path, monkeypatch):
-    """--out and --format set output.directory and output.format, so the run's
-    resolved_config.json reruns to the same file with no flags."""
+    """--out and --set output.format set output.directory and output.format, so
+    the run's resolved_config.json reruns to the same file with no flags."""
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
-    assert main(["ramp", "--out", str(out), "--format", "jsonl"] + SHORT_RAMP) == 0
+    assert main(["ramp", "--out", str(out), "--set", "output.format=jsonl"] + SHORT_RAMP) == 0
     first = (out / "ramp.jsonl").read_bytes()
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert (resolved["output"]["directory"], resolved["output"]["format"]) == (str(out), "jsonl")
@@ -217,14 +266,15 @@ def test_out_and_format_are_recorded_and_rerun(tmp_path, monkeypatch):
 
 
 def test_set_wins_over_out_and_format(tmp_path, monkeypatch):
-    """The flags are plain strings applied before --set: `--out 123` is the
-    directory "123", and an explicit output.* override replaces either flag."""
+    """--out is a plain string applied before --set: `--out 123` is the
+    directory "123", and an explicit output.directory override replaces it;
+    of two output.format overrides the last wins."""
     monkeypatch.chdir(tmp_path)
-    assert main(["ramp", "--out", "123", "--format", "jsonl"] + SHORT_RAMP) == 0
+    assert main(["ramp", "--out", "123", "--set", "output.format=jsonl"] + SHORT_RAMP) == 0
     assert json.loads(Path("123/resolved_config.json").read_text())["output"]["directory"] == "123"
     assert Path("123/ramp.jsonl").is_file()
-    assert main(["ramp", "--out", "flag", "--format", "jsonl", "--set", "output.directory=set",
-                 "--set", "output.format=csv"] + SHORT_RAMP) == 0
+    assert main(["ramp", "--out", "flag", "--set", "output.format=jsonl",
+                 "--set", "output.directory=set", "--set", "output.format=csv"] + SHORT_RAMP) == 0
     assert Path("set/ramp.csv").is_file() and not Path("flag").exists()
 
 
@@ -249,7 +299,7 @@ def test_sweep_run_outputs(tmp_path):
 def test_dissipative_zero_damping_matches_ramp(tmp_path):
     out_r, out_d = tmp_path / "ramp", tmp_path / "diss"
     assert main(["ramp", "--out", str(out_r)] + SHORT_RAMP) == 0
-    assert main(["dissipative", "--out", str(out_d), "--set", "bath.gamma=0"]
+    assert main(["dissipative", "--out", str(out_d), "--set", "bath.gammas=[0]"]
                 + SHORT_RAMP) == 0
     h_r, rows_r = read_csv(out_r / "ramp.csv")
     h_d, rows_d = read_csv(out_d / "dissipative_gamma_0.csv")
@@ -528,7 +578,7 @@ def test_one_blas_thread_by_default(tmp_path, monkeypatch):
 NO_SCIPY_RUNS = [
     ["validate"],
     ["ramp"] + SHORT_RAMP,
-    ["dissipative", "--set", "bath.gamma=1e-4"] + SHORT_RAMP,
+    ["dissipative", "--set", "bath.gammas=[1e-4]"] + SHORT_RAMP,
     # five points around the 0.42864 resonance: one region, refined
     ["sweep", "--set", "sweep.phi_min=0.4246", "--set", "sweep.phi_max=0.4326",
      "--set", "sweep.points=5"],

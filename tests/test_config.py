@@ -68,11 +68,17 @@ def test_cross_block_validation():
         parse_config({"ramp": {"t_end": 100.0}})
 
 
-def test_bath_gamma_scalar_alias():
-    cfg = parse_config({"bath": {"gamma": 2e-5}})
-    assert cfg.bath.gammas == (2e-5,)
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        parse_config({"bath": {"gamma": 2e-5, "gammas": [1e-5]}})
+def test_bath_rates_take_only_gammas():
+    """A single-rate run is a one-entry `gammas`; the scalar `gamma` alias is
+    gone, alone or beside `gammas`, and its error names the key to use. The
+    dict parsed is read, never written."""
+    data = {"bath": {"gammas": [2e-5]}}
+    assert parse_config(data).bath.gammas == (2e-5,)
+    assert data == {"bath": {"gammas": [2e-5]}}
+    for bath in ({"gamma": 2e-5}, {"gamma": 2e-5, "gammas": [1e-5]}):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in 'bath': \['gamma'\]; "
+                                              r"allowed: \[.*'gammas'"):
+            parse_config({"bath": bath})
     with pytest.raises(ConfigError, match="gammas"):
         parse_config({"bath": {"gammas": 1e-5}})
 

@@ -19,15 +19,29 @@ from squidring import circuit, dynamics, experiments, linalg, observables
 
 
 def _wrong_stage_weight(monkeypatch):
-    """Every RK4 map gets h/6 S3 more: S3 weighted 3 instead of 2."""
+    """Every RK4 map gets h/6 K2 more: K2 weighted 5/6 instead of 4/6."""
     real = dynamics._rk4_maps
 
     def maps(k1, k2, k4, h, out):
         p = real(k1, k2, k4, h, out)
-        p += (h / 6) * out[1]  # the builder leaves S3 in out[1]
+        p += (h / 6) * k2
         return p
 
     monkeypatch.setattr(dynamics, "_rk4_maps", maps)
+
+
+def _power_rows_without_squaring(monkeypatch):
+    """The frozen pass's doubling multiplies every block by M, never by M^b:
+    rows[b:2b] = rows[:b] M^T."""
+    def power_rows(m, y, rows):
+        rows[0] = m @ y
+        b = 1
+        while b < len(rows):
+            block = rows[b:2 * b]
+            np.matmul(rows[:len(block)], m.T, out=block)
+            b *= 2
+
+    monkeypatch.setattr(dynamics, "_power_rows", power_rows)
 
 
 def _no_settle(monkeypatch):
@@ -100,6 +114,11 @@ DEFECTS = {
         (test_properties.test_rk4_maps_on_a_constant_generator_are_the_taylor_polynomial
          .hypothesis.inner_test, {"d": 16, "h": 0.005, "seed": 0}),
         (test_dynamics.test_tdse_window_maps_equal_staged_rk4, {"n": 7, "d": 16}),
+    ]),
+    "frozen rows without the squaring": (_power_rows_without_squaring, [
+        (test_properties.test_power_rows_are_the_per_knot_chain.hypothesis.inner_test,
+         {"count": 3, "seed": 0}),
+        (test_cli.test_default_ramp_matches_the_benchmark_reference, {}),
     ]),
     "master settle skipped": (_no_settle, [
         (test_dynamics.test_damped_ramp_emits_exactly_hermitian_states, {}),
