@@ -9,7 +9,7 @@ at drive discontinuities; `static_on(a, b)` on arrays of interval ends, which
 intervals have a frozen drive; and H(t) = sum_k c_k(t) P_k as `pieces` and
 `coefficients(t)`. Each pass over a run of knots takes its own K from
 `_k_stacks`, and `_rk4_maps` builds every RK4 step map. A frozen pass applies
-its one-step map's power once per knot (a small psi's by doubling, in
+its one-step map's power once per knot (psi's rows by doubling, in
 `_power_rows`); a window pass takes all its RK4 stage times' coefficients in
 one call; `_window`, the one window path, makes each knot's per-step maps for
 a psi of up to WINDOW_MAP_MAX_DIM states, else runs the stage loop.
@@ -290,13 +290,14 @@ def _rk4_maps(k1, k2, k4, h, out):
 
 
 def _power_rows(m, y, rows):
-    """rows[k] = M^(k + 1) y by doubling: rows[b:2b] = rows[:b] (M^b)^T, then M^b squared."""
+    """rows[k] = M^(k + 1) y by doubling: rows[b:2b] = rows[:b] (M^b)^T, M^b squared per block."""
     rows[0] = m @ y
     b = 1
     while b < len(rows):
-        block = rows[b:2 * b]
-        np.matmul(rows[:len(block)], m.T, out=block)
-        m, b = m @ m, 2 * b
+        np.matmul(rows[:min(b, len(rows) - b)], m.T, out=rows[b:2 * b])
+        b *= 2
+        if b < len(rows):
+            m = m @ m
 
 
 def _takes_maps(y) -> bool:
@@ -377,17 +378,16 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
     phase it removes is restored on output) from one `_k_stacks` call: a frozen
     pass at its first interval's midpoint (its bits anywhere inside it), a
     window pass at every RK4 stage. A frozen pass applies M, the n-th power of
-    `_rk4_maps`' one-step map of the dense generator, by `_power_rows` where
-    `_takes_maps`, else to the flattened state, then `eq.settle`, once per
-    knot. A window knot is one `_window` call, with map buffers allocated once
-    per pass where `_takes_maps`. A pass over knots i + 1 .. j writes output
-    rows row(i + 1) .. row(j), row(k) being the number of samples before knot
-    k, so a knot that is not a sample (the last of its pass) lands in the next
-    sample's row, which the next pass overwrites. `_check` runs on the initial
-    state and once per pass: drift and finiteness at every knot, the lowest
+    `_rk4_maps`' one-step map of the dense generator, to psi by `_power_rows`,
+    else to the flattened rho, then `eq.settle`, once per knot. A window knot
+    is one `_window` call, with map buffers allocated once per pass where
+    `_takes_maps`. A pass over knots i + 1 .. j writes output rows row(i + 1)
+    .. row(j), row(k) being the number of samples before knot k, so a knot
+    that is not a sample (the last of its pass) lands in the next sample's
+    row, which the next pass overwrites. `_check` runs on the initial state
+    and once per pass: drift and finiteness at every knot, the lowest
     eigenvalue at every sample; the first failure raises. Returns (times,
-    samples, max drift, min eigenvalue).
-    """
+    samples, max drift, min eigenvalue)."""
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end >= t_start):
         raise ValueError(f"t_end must be a finite time >= t_start = {t_start!r}, got {t_end!r}")
     if not 0 < sample_dt < math.inf:
@@ -430,7 +430,7 @@ def _evolve(eq, t_start, y, hamiltonian, t_end, config, sample_dt):
                 step = _rk4_maps(g, g, g, spans[i] / n, [np.empty_like(g) for _ in range(3)])[0]
                 del g
                 step_map = np.linalg.matrix_power(step, n)
-                if _takes_maps(y):
+                if y.ndim == 1:  # psi of any size: its settle is the identity (costs: README)
                     _power_rows(step_map, y, rows)
                     y = rows[-1].copy()  # emit rotates the rows in place
                 else:
